@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-quick bench-throughput telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
+.PHONY: all build test race vet bench bench-quick bench-throughput bench-batch fuzz-quick telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
 
 all: build test race vet
 
@@ -66,6 +66,20 @@ bench-quick:
 # source); see README "Performance".
 bench-throughput:
 	$(GO) test -bench 'BenchmarkThroughput|BenchmarkVerifyMemo' -benchmem -run '^$$' .
+
+# One iteration of every internal/ed25519batch benchmark, the window
+# sweep behind evidence.BatchMinSigs included, so they keep compiling and
+# running. For numbers, raise -benchtime (see docs/PERFORMANCE.md).
+bench-batch:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ed25519batch
+
+# Every native fuzz target for a short fixed time: the in-band header
+# parser, the RATS message codec, and batch verification against
+# crypto/ed25519. Each starts from its checked-in seed corpus.
+fuzz-quick:
+	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime 10s ./internal/pera
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/rats
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsStdlib$$' -fuzztime 10s ./internal/ed25519batch
 
 # End-to-end observability check: run perasim with a live endpoint,
 # scrape /metrics, assert the per-stage histograms are populated.

@@ -12,7 +12,10 @@ import (
 // reusable: after Verify, call Reset and add the next batch — all
 // internal buffers (point tables, NAF scratch, hash state) are retained,
 // so steady-state batches allocate only when they outgrow every previous
-// batch. Not safe for concurrent use.
+// batch. Decompressed public keys and their tables are cached across
+// batches (up to keyCacheSize keys), so a key costs a decompression and
+// table build once per Verifier, not once per batch. Not safe for
+// concurrent use.
 //
 // Semantics: Verify returns true only if every added triple is valid
 // under the cofactored verification equation. It returns false if any
@@ -34,42 +37,115 @@ type Verifier struct {
 	bad   bool
 	items []batchItem
 
-	keys    map[string]int
-	aPoints []point
+	keys      keyCache
+	batchKeys []*keyEntry // distinct keys of this batch, in first-use order
+	gen       uint64      // batch generation, bumped by Reset
 
 	h    hash.Hash
 	hsum [64]byte
 	zbuf []byte
 
-	scalars  []scalar
-	points   []point
 	aScalars []scalar
-	acc      multiscalarAccum
+	rTables  [][8]cachedPoint
+	terms    []msmTerm
 }
 
 type batchItem struct {
 	s    scalar // signature scalar, canonical
 	hRAM scalar // SHA-512(R ‖ A ‖ M) mod L
 	r    point  // signature point R
-	aIdx int    // index into aPoints (public keys are merged)
+	aIdx int    // index into batchKeys (public keys are merged)
+}
+
+// keyCacheSize bounds the decompressed public keys a Verifier keeps
+// across batches. Attestation windows are signed by a handful of
+// switch keys, so the bound is never reached in steady state; past it
+// the oldest entry not used by the current batch is replaced.
+const keyCacheSize = 64
+
+// keyEntry is a decompressed public key A prepared for the batch
+// equation: the odd multiples of A and of [2^128]A, the tables of the
+// two 128-bit halves of its merged scalar.
+type keyEntry struct {
+	enc    [32]byte
+	gen    uint64 // batch generation that last referenced the entry
+	idx    int    // index into batchKeys during that generation
+	lo, hi [8]cachedPoint
+}
+
+// keyCache maps 32-byte public-key encodings to their prepared tables.
+// Only successful decodes are stored: a malformed key poisons its batch
+// and is decoded again if it comes back.
+type keyCache struct {
+	index map[[32]byte]*keyEntry
+	ring  []*keyEntry // insertion order, len <= keyCacheSize
+	next  int         // ring position of the next eviction candidate
+}
+
+// lookup returns the prepared entry for pub (32 bytes), decoding and
+// caching it on a miss, or false if pub is not a valid point encoding.
+// Entries used by the current batch (gen) are never evicted, so a batch
+// with more distinct keys than the bound prepares the rest in entries
+// of its own, outside the cache.
+func (c *keyCache) lookup(pub []byte, gen uint64) (*keyEntry, bool) {
+	enc := [32]byte(pub)
+	if e, ok := c.index[enc]; ok {
+		return e, true
+	}
+	var a point
+	if !a.setBytes(pub) {
+		return nil, false
+	}
+	e := c.slot(gen)
+	if e == nil {
+		e = new(keyEntry)
+	} else {
+		c.index[enc] = e
+	}
+	e.enc = enc
+	e.gen = 0
+	oddMultiples(e.lo[:], &a)
+	var a128 point
+	oddMultiples(e.hi[:], a128.mulPow2(&a, 128))
+	return e, true
+}
+
+// slot returns a cache entry to (re)fill, or nil if every entry is in
+// use by batch generation gen.
+func (c *keyCache) slot(gen uint64) *keyEntry {
+	if len(c.ring) < keyCacheSize {
+		e := new(keyEntry)
+		c.ring = append(c.ring, e)
+		return e
+	}
+	for range c.ring {
+		e := c.ring[c.next]
+		c.next = (c.next + 1) % len(c.ring)
+		if e.gen != gen {
+			delete(c.index, e.enc)
+			return e
+		}
+	}
+	return nil
 }
 
 // NewVerifier returns an empty batch verifier.
 func NewVerifier() *Verifier {
 	return &Verifier{
-		keys: make(map[string]int),
+		keys: keyCache{index: make(map[[32]byte]*keyEntry)},
+		gen:  1,
 		h:    sha512.New(),
 	}
 }
 
-// Reset clears the batch while keeping capacity for reuse.
+// Reset clears the batch while keeping capacity for reuse. The key
+// cache survives: a key seen by an earlier batch is not decompressed
+// again.
 func (v *Verifier) Reset() {
 	v.bad = false
 	v.items = v.items[:0]
-	v.aPoints = v.aPoints[:0]
-	for k := range v.keys {
-		delete(v.keys, k)
-	}
+	v.batchKeys = v.batchKeys[:0]
+	v.gen++
 }
 
 // Len returns the number of triples added since the last Reset.
@@ -91,18 +167,17 @@ func (v *Verifier) Add(pub ed25519.PublicKey, message, sig []byte) {
 		v.bad = true
 		return
 	}
-	idx, ok := v.keys[string(pub)]
+	key, ok := v.keys.lookup(pub, v.gen)
 	if !ok {
-		var a point
-		if !a.setBytes(pub) {
-			v.bad = true
-			return
-		}
-		idx = len(v.aPoints)
-		v.aPoints = append(v.aPoints, a)
-		v.keys[string(pub)] = idx
+		v.bad = true
+		return
 	}
-	item.aIdx = idx
+	if key.gen != v.gen {
+		key.gen = v.gen
+		key.idx = len(v.batchKeys)
+		v.batchKeys = append(v.batchKeys, key)
+	}
+	item.aIdx = key.idx
 
 	v.h.Reset()
 	v.h.Write(sig[:32])
@@ -119,6 +194,12 @@ func (v *Verifier) Add(pub ed25519.PublicKey, message, sig []byte) {
 //	[8]( [-Σ z_i·s_i]B + Σ [z_i]R_i + Σ [(Σ z_i·h_i)]A_j ) == identity
 //
 // with fresh 128-bit random blinders z_i. An empty batch verifies.
+//
+// Every scalar is brought below 2^128 so the shared doubling chain is
+// 128 long, not 253: the B and A_j coefficients are split into 128-bit
+// halves against [2^128]B (a static table) and [2^128]A_j (cached with
+// the key), and the z_i are 128-bit already. That makes 2 + 2u + n
+// terms for n signatures under u distinct keys.
 func (v *Verifier) Verify() bool {
 	if v.bad {
 		return false
@@ -135,23 +216,25 @@ func (v *Verifier) Verify() bool {
 		return false
 	}
 
-	// Terms: [0] basepoint, [1..u] merged public keys, [u+1..u+n] R points.
-	u := len(v.aPoints)
-	total := 1 + u + n
-	if cap(v.scalars) < total {
-		v.scalars = make([]scalar, total)
-		v.points = make([]point, total)
+	u := len(v.batchKeys)
+	total := 2 + 2*u + n
+	if cap(v.terms) < total {
+		v.terms = make([]msmTerm, total)
 	}
 	if cap(v.aScalars) < u {
 		v.aScalars = make([]scalar, u)
 	}
-	scalars := v.scalars[:total]
-	points := v.points[:total]
+	if cap(v.rTables) < n {
+		v.rTables = make([][8]cachedPoint, n)
+	}
+	terms := v.terms[:total]
 	aScalars := v.aScalars[:u]
+	rTables := v.rTables[:n]
 	for i := range aScalars {
 		aScalars[i] = scalar{}
 	}
 
+	top := -1
 	var bScalar, z, zs, zh scalar
 	for i := range v.items {
 		it := &v.items[i]
@@ -167,26 +250,28 @@ func (v *Verifier) Verify() bool {
 		zh.mul(&z, &it.hRAM)
 		aScalars[it.aIdx].add(&aScalars[it.aIdx], &zh)
 
-		scalars[1+u+i] = z
-		points[1+u+i] = it.r
+		oddMultiples(rTables[i][:], &it.r)
+		top = max(top, terms[2+2*u+i].setScalar(z[0], z[1], rTables[i][:]))
 	}
 	// B coefficient is negated: the equation moves [z·s]B to the left side.
 	var zero scalar
 	bScalar.sub(&zero, &bScalar)
-	scalars[0] = bScalar
-	points[0] = basePoint
-	for j := 0; j < u; j++ {
-		scalars[1+j] = aScalars[j]
-		points[1+j] = v.aPoints[j]
+	top = max(top, terms[0].setScalar(bScalar[0], bScalar[1], baseTable[:]))
+	top = max(top, terms[1].setScalar(bScalar[2], bScalar[3], baseTable128[:]))
+	for j, key := range v.batchKeys {
+		a := &aScalars[j]
+		top = max(top, terms[2+2*j].setScalar(a[0], a[1], key.lo[:]))
+		top = max(top, terms[3+2*j].setScalar(a[2], a[3], key.hi[:]))
 	}
 
-	var sum point
-	v.acc.vartimeMultiscalar(&sum, scalars, points)
+	var sum projP2
+	var c projP1xP1
+	vartimeMultiscalar(&sum, terms, top)
 	// Multiply by the cofactor 8 so small-order components cannot flip
 	// the verdict for honest signatures.
-	sum.double(&sum)
-	sum.double(&sum)
-	sum.double(&sum)
+	for i := 0; i < 3; i++ {
+		sum.fromP1xP1(c.double(&sum))
+	}
 	return sum.isIdentity()
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"fmt"
 	"math/big"
+	"math/bits"
 	mrand "math/rand"
 	"testing"
 )
@@ -110,6 +112,61 @@ func TestFieldBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// exp sets v = a^e where e is 32 little-endian bytes, by square-and-
+// multiply: the generic reference for the addition chains of invert and
+// pow22523.
+func (v *fe) exp(a *fe, e *[32]byte) *fe {
+	out := feOne
+	base := *a
+	for i := 0; i < 255; i++ {
+		if e[i/8]>>(uint(i)%8)&1 == 1 {
+			out.mul(&out, &base)
+		}
+		base.square(&base)
+	}
+	*v = out
+	return v
+}
+
+// leBytes32 returns x (< 2^256) as 32 little-endian bytes.
+func leBytes32(x *big.Int) [32]byte {
+	var b [32]byte
+	raw := x.Bytes()
+	for i, c := range raw {
+		b[len(raw)-1-i] = c
+	}
+	return b
+}
+
+func TestPow22523AndInvertVsReference(t *testing.T) {
+	p58 := new(big.Int).Rsh(new(big.Int).Sub(pBig, big.NewInt(5)), 3) // (p-5)/8
+	p2 := new(big.Int).Sub(pBig, big.NewInt(2))
+	e58, e2 := leBytes32(p58), leBytes32(p2)
+	rng := mrand.New(mrand.NewSource(5))
+	inputs := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(pBig, big.NewInt(1))}
+	for i := 0; i < 200; i++ {
+		inputs = append(inputs, new(big.Int).Rand(rng, pBig))
+	}
+	for i, xB := range inputs {
+		x := bigToFe(xB)
+		var got, ref fe
+		got.pow22523(&x)
+		if want := new(big.Int).Exp(xB, p58, pBig); feToBig(&got).Cmp(want) != 0 {
+			t.Fatalf("pow22523 mismatch vs big.Exp at %d", i)
+		}
+		if ref.exp(&x, &e58); !got.equal(&ref) {
+			t.Fatalf("pow22523 mismatch vs square-and-multiply at %d", i)
+		}
+		got.invert(&x)
+		if want := new(big.Int).Exp(xB, p2, pBig); feToBig(&got).Cmp(want) != 0 {
+			t.Fatalf("invert mismatch vs big.Exp at %d", i)
+		}
+		if ref.exp(&x, &e2); !got.equal(&ref) {
+			t.Fatalf("invert mismatch vs square-and-multiply at %d", i)
+		}
+	}
+}
+
 func TestSqrtM1(t *testing.T) {
 	var sq, minusOne fe
 	sq.square(&feSqrtM1)
@@ -148,6 +205,37 @@ func onCurve(p *point) bool {
 	return xy.equal(&zt)
 }
 
+// setIdentity sets p to the neutral element (0, 1).
+func (p *point) setIdentity() *point {
+	p.x = feZero
+	p.y = feOne
+	p.z = feOne
+	p.t = feZero
+	return p
+}
+
+// isIdentity reports whether p is the neutral element: X == 0 and Y == Z.
+func (p *point) isIdentity() bool {
+	return p.x.isZero() && p.y.equal(&p.z)
+}
+
+// add sets p = a + b with the unified addition, the operation the test
+// references are built from.
+func (p *point) add(a, b *point) *point {
+	var bc cachedPoint
+	var c projP1xP1
+	bc.fromPoint(b)
+	return p.fromP1xP1(c.addCached(a, &bc))
+}
+
+// sub sets p = a - b.
+func (p *point) sub(a, b *point) *point {
+	var bc cachedPoint
+	var c projP1xP1
+	bc.fromPoint(b)
+	return p.fromP1xP1(c.subCached(a, &bc))
+}
+
 func TestBasePoint(t *testing.T) {
 	if !onCurve(&basePoint) {
 		t.Fatal("base point not on curve")
@@ -163,30 +251,195 @@ func TestBasePoint(t *testing.T) {
 	}
 }
 
-func TestPointAddDouble(t *testing.T) {
-	// 2B via double == B + B; associativity spot check (B+B)+B == B+(B+B).
-	var d1, d2, s1, s2 point
-	d1.double(&basePoint)
-	d2.add(&basePoint, &basePoint)
-	if !onCurve(&d1) || !feEqualPoint(&d1, &d2) {
-		t.Fatal("double != add(a,a)")
+// refScalarMult returns [k]p by double-and-add over the unified
+// addition only (doubling as add(a, a)): the slow reference for double,
+// the tables and the multiscalar.
+func refScalarMult(k *big.Int, p *point) point {
+	var acc point
+	acc.setIdentity()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.add(&acc, &acc)
+		if k.Bit(i) == 1 {
+			acc.add(&acc, p)
+		}
 	}
+	return acc
+}
+
+// order8Point returns a point of exact order 8: [L]P for a random curve
+// point P lies in the torsion subgroup, and is of order 8 whenever [4] of
+// it is not the identity.
+func order8Point(t *testing.T, rng *mrand.Rand) point {
+	for i := 0; i < 100; i++ {
+		var enc [32]byte
+		rng.Read(enc[:])
+		var p point
+		if !p.setBytes(enc[:]) {
+			continue
+		}
+		q := refScalarMult(lBig, &p)
+		var q4 point
+		q4.double(&q)
+		q4.double(&q4)
+		if !q4.isIdentity() {
+			return q
+		}
+	}
+	t.Fatal("no order-8 point found")
+	return point{}
+}
+
+func TestPointAddDouble(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(6))
+	var id point
+	id.setIdentity()
+	t8 := order8Point(t, rng)
+	cases := []point{id, basePoint, t8}
+	for i := 0; i < 20; i++ {
+		k := new(big.Int).Rand(rng, lBig)
+		p := refScalarMult(k, &basePoint)
+		cases = append(cases, p)
+		var pt point
+		cases = append(cases, *pt.add(&p, &t8)) // mixed order
+	}
+	for i := range cases {
+		p := &cases[i]
+		var d, a point
+		d.double(p)
+		a.add(p, p)
+		if !onCurve(&d) || !feEqualPoint(&d, &a) {
+			t.Fatalf("case %d: double != add(a, a)", i)
+		}
+	}
+	// The order-8 point really has order 8 under the dedicated doubling.
+	var q point
+	q.double(&t8)
+	q.double(&q)
+	if q.isIdentity() {
+		t.Fatal("[4]T8 is the identity")
+	}
+	if q.double(&q); !q.isIdentity() {
+		t.Fatal("[8]T8 is not the identity")
+	}
+	var m point
+	if m.mulPow2(&basePoint, 128); !feEqualPoint(&m, ptr(refScalarMult(new(big.Int).Lsh(big.NewInt(1), 128), &basePoint))) {
+		t.Fatal("mulPow2(B, 128) != [2^128]B")
+	}
+	// Commutativity, B + identity == B and B - B == identity.
+	var d1, s1, s2 point
+	d1.double(&basePoint)
 	s1.add(&d1, &basePoint)
 	s2.add(&basePoint, &d1)
 	if !feEqualPoint(&s1, &s2) {
 		t.Fatal("addition not commutative")
 	}
-	// B + identity == B.
-	var id, r point
-	id.setIdentity()
+	var r point
 	r.add(&basePoint, &id)
 	if !feEqualPoint(&r, &basePoint) {
 		t.Fatal("B + 0 != B")
 	}
-	// B - B == identity.
-	r.sub(&basePoint, &basePoint)
-	if !r.isIdentity() {
+	if r.sub(&basePoint, &basePoint); !r.isIdentity() {
 		t.Fatal("B - B != 0")
+	}
+}
+
+func ptr(p point) *point { return &p }
+
+// p2EqualPoint compares a projective result against an extended point.
+func p2EqualPoint(v *projP2, p *point) bool {
+	return feEqualPoint(&point{x: v.x, y: v.y, z: v.z}, p)
+}
+
+func TestOddMultiplesTables(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(7))
+	check := func(name string, table []cachedPoint, p *point) {
+		for j := range table {
+			want := refScalarMult(big.NewInt(int64(2*j+1)), p)
+			var got point
+			var c projP1xP1
+			var id point
+			id.setIdentity()
+			got.fromP1xP1(c.addCached(&id, &table[j]))
+			if !feEqualPoint(&got, &want) {
+				t.Fatalf("%s: table[%d] != %d·P", name, j, 2*j+1)
+			}
+		}
+	}
+	check("baseTable", baseTable[:], &basePoint)
+	b128 := refScalarMult(new(big.Int).Lsh(big.NewInt(1), 128), &basePoint)
+	check("baseTable128", baseTable128[:], &b128)
+	p := refScalarMult(new(big.Int).Rand(rng, lBig), &basePoint)
+	p.add(&p, ptr(order8Point(t, rng)))
+	var table [8]cachedPoint
+	oddMultiples(table[:], &p)
+	check("oddMultiples", table[:], &p)
+}
+
+func TestMultiscalarVsReference(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(8))
+	t8 := order8Point(t, rng)
+	two128 := new(big.Int).Lsh(big.NewInt(1), 128)
+	for trial := 0; trial < 12; trial++ {
+		var keys keyCache
+		keys.index = make(map[[32]byte]*keyEntry)
+		var terms []msmTerm
+		want := point{}
+		want.setIdentity()
+		top := -1
+		// addTerm adds [k]p, k < 2^128, to both sides.
+		addTerm := func(k *big.Int, table []cachedPoint, p *point) {
+			terms = append(terms, msmTerm{})
+			hi := new(big.Int).Rsh(k, 64).Uint64()
+			top = max(top, terms[len(terms)-1].setScalar(k.Uint64(), hi, table))
+			ref := refScalarMult(k, p)
+			want.add(&want, &ref)
+		}
+		// Basepoint halves (static w = 8 tables): a full scalar k = lo + 2^128·hi.
+		k := new(big.Int).Rand(rng, lBig)
+		if trial == 0 {
+			k.Sub(lBig, big.NewInt(1))
+		}
+		kLo := new(big.Int).Mod(k, two128)
+		kHi := new(big.Int).Rsh(k, 128)
+		addTerm(kLo, baseTable[:], &basePoint)
+		b128 := refScalarMult(two128, &basePoint)
+		addTerm(kHi, baseTable128[:], &b128)
+		// Cached key tables (w = 5), with and without a torsion component.
+		for j := 0; j < 1+trial%3; j++ {
+			a := refScalarMult(new(big.Int).Rand(rng, lBig), &basePoint)
+			if j == 1 {
+				a.add(&a, &t8)
+			}
+			var enc [32]byte
+			var x, y, zInv fe
+			zInv.invert(&a.z)
+			x.mul(&a.x, &zInv)
+			y.mul(&a.y, &zInv)
+			y.toBytes(&enc)
+			if x.isNegative() {
+				enc[31] |= 0x80
+			}
+			e, ok := keys.lookup(enc[:], 1)
+			if !ok {
+				t.Fatal("key decode failed")
+			}
+			s := new(big.Int).Rand(rng, lBig)
+			addTerm(new(big.Int).Mod(s, two128), e.lo[:], &a)
+			a128 := refScalarMult(two128, &a)
+			addTerm(new(big.Int).Rsh(s, 128), e.hi[:], &a128)
+		}
+		// Per-batch tables (w = 5) under 128-bit blinders.
+		for j := 0; j < 1+trial; j++ {
+			r := refScalarMult(new(big.Int).Rand(rng, lBig), &basePoint)
+			var table [8]cachedPoint
+			oddMultiples(table[:], &r)
+			addTerm(new(big.Int).Rand(rng, two128), table[:], &r)
+		}
+		var got projP2
+		vartimeMultiscalar(&got, terms, top)
+		if !p2EqualPoint(&got, &want) {
+			t.Fatalf("trial %d: multiscalar != Σ reference", trial)
+		}
 	}
 }
 
@@ -266,29 +519,42 @@ func TestScalarArithmeticVsBig(t *testing.T) {
 
 func TestNonAdjacentForm(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		var wide [64]byte
-		rng.Read(wide[:])
-		var s scalar
-		s.setBytesWide(&wide)
-		want := new(big.Int).SetBits([]big.Word{
-			big.Word(s[0]), big.Word(s[1]), big.Word(s[2]), big.Word(s[3]),
-		})
-		var naf [257]int8
-		s.nonAdjacentForm(&naf)
-		sum := new(big.Int)
-		for pos, d := range naf {
-			if d == 0 {
-				continue
+	for _, entries := range []int{8, 64} { // w = 5 and w = 8
+		table := make([]cachedPoint, entries)
+		w := bits.Len(uint(entries)) + 1
+		for i := 0; i < 100; i++ {
+			lo, hi := rng.Uint64(), rng.Uint64()
+			switch i {
+			case 0:
+				lo, hi = 0, 0
+			case 1:
+				lo, hi = ^uint64(0), ^uint64(0) // 2^128-1: the NAF needs digit 128
 			}
-			if d%2 == 0 || d > 15 || d < -15 {
-				t.Fatalf("invalid naf digit %d at %d", d, pos)
+			want := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			want.Or(want, new(big.Int).SetUint64(lo))
+			var m msmTerm
+			top := m.setScalar(lo, hi, table)
+			sum := new(big.Int)
+			last, gotTop := -w, -1
+			for pos, d := range m.naf {
+				if d == 0 {
+					continue
+				}
+				if d%2 == 0 || int(d) >= entries*2 || int(d) <= -entries*2 {
+					t.Fatalf("w=%d: invalid naf digit %d at %d", w, d, pos)
+				}
+				if pos-last < w {
+					t.Fatalf("w=%d: nonzero digits at %d and %d closer than w", w, last, pos)
+				}
+				last, gotTop = pos, pos
+				sum.Add(sum, new(big.Int).Lsh(big.NewInt(int64(d)), uint(pos)))
 			}
-			term := new(big.Int).Lsh(big.NewInt(int64(d)), uint(pos))
-			sum.Add(sum, term)
-		}
-		if sum.Cmp(want) != 0 {
-			t.Fatalf("naf does not reconstruct scalar at %d", i)
+			if sum.Cmp(want) != 0 {
+				t.Fatalf("w=%d: naf does not reconstruct scalar at %d", w, i)
+			}
+			if top != gotTop {
+				t.Fatalf("w=%d: top = %d, highest nonzero digit at %d", w, top, gotTop)
+			}
 		}
 	}
 }
@@ -336,8 +602,8 @@ func TestBatchSharedKeys(t *testing.T) {
 		msg := bytes.Repeat([]byte{byte(i)}, 10+i)
 		v.Add(pub, msg, ed25519.Sign(priv, msg))
 	}
-	if len(v.aPoints) != 1 {
-		t.Fatalf("expected 1 merged key, got %d", len(v.aPoints))
+	if len(v.batchKeys) != 1 {
+		t.Fatalf("expected 1 merged key, got %d", len(v.batchKeys))
 	}
 	if !v.Verify() {
 		t.Fatal("shared-key batch rejected")
@@ -498,72 +764,70 @@ func TestVerifyBatchConvenience(t *testing.T) {
 	}
 }
 
-func BenchmarkVerifyBatch16(b *testing.B) {
-	v := NewVerifier()
-	var pubs []ed25519.PublicKey
-	var msgs, sigs [][]byte
-	for i := 0; i < 16; i++ {
-		pub, priv, _ := ed25519.GenerateKey(rand.Reader)
-		m := bytes.Repeat([]byte{byte(i)}, 64)
-		pubs = append(pubs, pub)
-		msgs = append(msgs, m)
-		sigs = append(sigs, ed25519.Sign(priv, m))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Reset()
-		for j := range pubs {
-			v.Add(pubs[j], msgs[j], sigs[j])
-		}
-		if !v.Verify() {
-			b.Fatal("batch rejected")
+// BenchmarkVerifyBatchSweep is the evidence for evidence.BatchVerifier's
+// window rule: ns per signature of one batch equation against one
+// crypto/ed25519.Verify per signature, over window sizes n and two key
+// shapes — every signature under its own key (u = n) and three keys
+// shared round-robin (u = min(n, 3)). The same keys sign every window,
+// so the batch runs with a warm key cache, as a switch or appraiser
+// does in steady state; at n = 96 and 192 the distinct shape overflows
+// the cache bound, and the keys past it are prepared afresh in every
+// window.
+func BenchmarkVerifyBatchSweep(b *testing.B) {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 96, 192} {
+		for _, shape := range []struct {
+			name string
+			keys int
+		}{{"distinct", n}, {"3keys", min(n, 3)}} {
+			pubs, msgs, sigs := sweepWindow(n, shape.keys)
+			name := fmt.Sprintf("n=%d/%s", n, shape.name)
+			b.Run(name+"/batch", func(b *testing.B) {
+				v := NewVerifier()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.Reset()
+					for j := range sigs {
+						v.Add(pubs[j], msgs[j], sigs[j])
+					}
+					if !v.Verify() {
+						b.Fatal("batch rejected")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sig")
+			})
+			b.Run(name+"/stdlib", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j := range sigs {
+						if !ed25519.Verify(pubs[j], msgs[j], sigs[j]) {
+							b.Fatal("rejected")
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sig")
+			})
 		}
 	}
 }
 
-func BenchmarkVerifyBatch16SharedKeys(b *testing.B) {
-	// 16 signatures from 3 signers — the appraiser's actual workload
-	// shape (few switch AIKs, many hop signatures), where A-term merging
-	// cuts the multiscalar size nearly in half.
-	v := NewVerifier()
-	var pubs []ed25519.PublicKey
+// sweepWindow returns n honest signatures over 64-byte messages, signed
+// round-robin by the given number of keys.
+func sweepWindow(n, keys int) (pubs []ed25519.PublicKey, msgs, sigs [][]byte) {
+	rng := mrand.New(mrand.NewSource(int64(n*1000 + keys)))
 	var privs []ed25519.PrivateKey
-	for i := 0; i < 3; i++ {
-		pub, priv, _ := ed25519.GenerateKey(rand.Reader)
+	for i := 0; i < keys; i++ {
+		pub, priv, _ := ed25519.GenerateKey(rng)
 		pubs = append(pubs, pub)
 		privs = append(privs, priv)
 	}
-	var msgs, sigs [][]byte
-	var keys []ed25519.PublicKey
-	for i := 0; i < 16; i++ {
-		m := bytes.Repeat([]byte{byte(i)}, 64)
+	for i := len(pubs); i < n; i++ {
+		pubs = append(pubs, pubs[i%keys])
+	}
+	for i := 0; i < n; i++ {
+		m := make([]byte, 64)
+		rng.Read(m)
 		msgs = append(msgs, m)
-		sigs = append(sigs, ed25519.Sign(privs[i%3], m))
-		keys = append(keys, pubs[i%3])
+		sigs = append(sigs, ed25519.Sign(privs[i%keys], m))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Reset()
-		for j := range msgs {
-			v.Add(keys[j], msgs[j], sigs[j])
-		}
-		if !v.Verify() {
-			b.Fatal("batch rejected")
-		}
-	}
-}
-
-func BenchmarkVerifySingleStdlib(b *testing.B) {
-	pub, priv, _ := ed25519.GenerateKey(rand.Reader)
-	m := bytes.Repeat([]byte{1}, 64)
-	sig := ed25519.Sign(priv, m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !ed25519.Verify(pub, m, sig) {
-			b.Fatal("rejected")
-		}
-	}
+	return pubs, msgs, sigs
 }

@@ -4,11 +4,12 @@
 // The Go standard library keeps its edwards25519 implementation internal
 // and exposes only one-at-a-time ed25519.Verify, which costs one full
 // double-scalar multiplication per signature. Batch verification checks n
-// signatures with one (n+u+1)-term multiscalar multiplication whose 256
-// point doublings are shared across every term — the amortization ScaRR
-// identifies as the only way attestation verification scales. For chains
-// re-presented across packets the appraiser additionally merges terms
-// that share a public key, so u (unique keys) is tiny compared to n.
+// signatures under u distinct public keys with one multiscalar
+// multiplication of 2+2u+n terms, all below 2^128, whose 128 point
+// doublings are shared across every term — the amortization ScaRR
+// identifies as the only way attestation verification scales. Terms that
+// share a public key are merged, and attestation windows are signed by a
+// few switch keys, so u is small compared to n.
 //
 // The batch check is the cofactored equation (RFC 8032 §3.4, "batch"
 // remark; Chalkias et al., "Taming the many EdDSAs"):
@@ -19,7 +20,7 @@
 // mod L. A batch that fails says only "at least one signature is bad";
 // callers attribute failures by falling back to per-item
 // crypto/ed25519.Verify, which also keeps the standard library the
-// ground truth for every rejected input (see evidence.VerifyBatch).
+// ground truth for every rejected input (see evidence.BatchVerifier).
 //
 // All arithmetic here is variable-time: batch verification handles only
 // public values (public keys, signatures, messages), never secrets.
@@ -44,156 +45,190 @@ var (
 
 // add sets v = a + b.
 func (v *fe) add(a, b *fe) *fe {
-	v.l0 = a.l0 + b.l0
-	v.l1 = a.l1 + b.l1
-	v.l2 = a.l2 + b.l2
-	v.l3 = a.l3 + b.l3
-	v.l4 = a.l4 + b.l4
-	return v.carry()
+	return v.setCarried(a.l0+b.l0, a.l1+b.l1, a.l2+b.l2, a.l3+b.l3, a.l4+b.l4)
 }
 
 // sub sets v = a - b. 2p is added first so limbs never underflow.
 func (v *fe) sub(a, b *fe) *fe {
 	// 2p in radix 2^51: low limb 2^52-38, others 2^52-2.
-	v.l0 = a.l0 + 0xFFFFFFFFFFFDA - b.l0
-	v.l1 = a.l1 + 0xFFFFFFFFFFFFE - b.l1
-	v.l2 = a.l2 + 0xFFFFFFFFFFFFE - b.l2
-	v.l3 = a.l3 + 0xFFFFFFFFFFFFE - b.l3
-	v.l4 = a.l4 + 0xFFFFFFFFFFFFE - b.l4
-	return v.carry()
+	return v.setCarried(
+		a.l0+0xFFFFFFFFFFFDA-b.l0,
+		a.l1+0xFFFFFFFFFFFFE-b.l1,
+		a.l2+0xFFFFFFFFFFFFE-b.l2,
+		a.l3+0xFFFFFFFFFFFFE-b.l3,
+		a.l4+0xFFFFFFFFFFFFE-b.l4)
 }
 
 // neg sets v = -a.
 func (v *fe) neg(a *fe) *fe { return v.sub(&feZero, a) }
 
-// carry propagates limb overflow once, folding the top carry back via
-// 2^255 ≡ 19. Input limbs may be up to ~2^57; output limbs are < 2^52.
-func (v *fe) carry() *fe {
-	c0 := v.l0 >> 51
-	c1 := v.l1 >> 51
-	c2 := v.l2 >> 51
-	c3 := v.l3 >> 51
-	c4 := v.l4 >> 51
-	v.l0 = v.l0&mask51 + c4*19
-	v.l1 = v.l1&mask51 + c0
-	v.l2 = v.l2&mask51 + c1
-	v.l3 = v.l3&mask51 + c2
-	v.l4 = v.l4&mask51 + c3
+// carry propagates limb overflow once; see setCarried.
+func (v *fe) carry() *fe { return v.setCarried(v.l0, v.l1, v.l2, v.l3, v.l4) }
+
+// setCarried sets v to the limbs l0..l4 after one carry pass, folding the
+// top carry back via 2^255 ≡ 19. Input limbs may be up to 2^64; output
+// limbs are < 2^51 + 2^18. Taking the limbs as values lets the callers
+// keep them in registers and store v once.
+func (v *fe) setCarried(l0, l1, l2, l3, l4 uint64) *fe {
+	v.l0 = l0&mask51 + (l4>>51)*19
+	v.l1 = l1&mask51 + l0>>51
+	v.l2 = l2&mask51 + l1>>51
+	v.l3 = l3&mask51 + l2>>51
+	v.l4 = l4&mask51 + l3>>51
 	return v
 }
 
-// accum is a 128-bit accumulator for schoolbook multiplication columns.
-type accum struct{ hi, lo uint64 }
+// uint128 is a 128-bit accumulator for the schoolbook product columns.
+type uint128 struct{ lo, hi uint64 }
 
-func (ac *accum) addMul(a, b uint64) {
+// mul64 returns a·b.
+func mul64(a, b uint64) uint128 {
 	hi, lo := bits.Mul64(a, b)
-	var c uint64
-	ac.lo, c = bits.Add64(ac.lo, lo, 0)
-	ac.hi += hi + c
+	return uint128{lo, hi}
 }
 
-// shr51 splits the accumulator into its low 51 bits and the carry above.
-func (ac *accum) shr51() (low, carry uint64) {
-	return ac.lo & mask51, ac.lo>>51 | ac.hi<<13
+// addMul64 returns v + a·b.
+func addMul64(v uint128, a, b uint64) uint128 {
+	hi, lo := bits.Mul64(a, b)
+	lo, c := bits.Add64(lo, v.lo, 0)
+	hi, _ = bits.Add64(hi, v.hi, c)
+	return uint128{lo, hi}
 }
 
-// mul sets v = a * b.
+// shr51 returns v >> 51 (the carry out of a 51-bit limb); column sums
+// stay below 2^115, so the result fits in 64 bits.
+func shr51(v uint128) uint64 { return v.hi<<13 | v.lo>>51 }
+
+// reduceColumns folds five product columns back into 51-bit limbs,
+// wrapping the top carry via 2^255 ≡ 19, and sets v.
+func (v *fe) reduceColumns(r0, r1, r2, r3, r4 uint128) *fe {
+	c0, c1, c2, c3, c4 := shr51(r0), shr51(r1), shr51(r2), shr51(r3), shr51(r4)
+	return v.setCarried(r0.lo&mask51+c4*19, r1.lo&mask51+c0, r2.lo&mask51+c1, r3.lo&mask51+c2, r4.lo&mask51+c3)
+}
+
+// mul sets v = a * b: 25 limb products, with the columns that wrap past
+// 2^255 pre-multiplied by 19.
 func (v *fe) mul(a, b *fe) *fe {
 	a0, a1, a2, a3, a4 := a.l0, a.l1, a.l2, a.l3, a.l4
 	b0, b1, b2, b3, b4 := b.l0, b.l1, b.l2, b.l3, b.l4
-	// Precomputed 19·b limbs for the wrapped columns; b limbs are < 2^52
-	// so 19·b fits in 64 bits (< 2^57).
+	// b limbs are < 2^52, so 19·b fits in 64 bits (< 2^57).
 	b1_19, b2_19, b3_19, b4_19 := b1*19, b2*19, b3*19, b4*19
 
-	var r0, r1, r2, r3, r4 accum
-	r0.addMul(a0, b0)
-	r0.addMul(a1, b4_19)
-	r0.addMul(a2, b3_19)
-	r0.addMul(a3, b2_19)
-	r0.addMul(a4, b1_19)
+	r0 := mul64(a0, b0)
+	r0 = addMul64(r0, a1, b4_19)
+	r0 = addMul64(r0, a2, b3_19)
+	r0 = addMul64(r0, a3, b2_19)
+	r0 = addMul64(r0, a4, b1_19)
 
-	r1.addMul(a0, b1)
-	r1.addMul(a1, b0)
-	r1.addMul(a2, b4_19)
-	r1.addMul(a3, b3_19)
-	r1.addMul(a4, b2_19)
+	r1 := mul64(a0, b1)
+	r1 = addMul64(r1, a1, b0)
+	r1 = addMul64(r1, a2, b4_19)
+	r1 = addMul64(r1, a3, b3_19)
+	r1 = addMul64(r1, a4, b2_19)
 
-	r2.addMul(a0, b2)
-	r2.addMul(a1, b1)
-	r2.addMul(a2, b0)
-	r2.addMul(a3, b4_19)
-	r2.addMul(a4, b3_19)
+	r2 := mul64(a0, b2)
+	r2 = addMul64(r2, a1, b1)
+	r2 = addMul64(r2, a2, b0)
+	r2 = addMul64(r2, a3, b4_19)
+	r2 = addMul64(r2, a4, b3_19)
 
-	r3.addMul(a0, b3)
-	r3.addMul(a1, b2)
-	r3.addMul(a2, b1)
-	r3.addMul(a3, b0)
-	r3.addMul(a4, b4_19)
+	r3 := mul64(a0, b3)
+	r3 = addMul64(r3, a1, b2)
+	r3 = addMul64(r3, a2, b1)
+	r3 = addMul64(r3, a3, b0)
+	r3 = addMul64(r3, a4, b4_19)
 
-	r4.addMul(a0, b4)
-	r4.addMul(a1, b3)
-	r4.addMul(a2, b2)
-	r4.addMul(a3, b1)
-	r4.addMul(a4, b0)
+	r4 := mul64(a0, b4)
+	r4 = addMul64(r4, a1, b3)
+	r4 = addMul64(r4, a2, b2)
+	r4 = addMul64(r4, a3, b1)
+	r4 = addMul64(r4, a4, b0)
 
-	l0, c0 := r0.shr51()
-	l1, c1 := r1.shr51()
-	l2, c2 := r2.shr51()
-	l3, c3 := r3.shr51()
-	l4, c4 := r4.shr51()
-
-	l1 += c0
-	l2 += c1
-	l3 += c2
-	l4 += c3
-	l0 += c4 * 19
-	v.l0, v.l1, v.l2, v.l3, v.l4 = l0, l1, l2, l3, l4
-	return v.carry()
+	return v.reduceColumns(r0, r1, r2, r3, r4)
 }
 
-// square sets v = a².
-func (v *fe) square(a *fe) *fe { return v.mul(a, a) }
+// square sets v = a². The symmetric cross products are computed once and
+// doubled, so a squaring costs 15 limb products instead of mul's 25.
+func (v *fe) square(a *fe) *fe {
+	l0, l1, l2, l3, l4 := a.l0, a.l1, a.l2, a.l3, a.l4
+	l0_2, l1_2 := l0*2, l1*2
+	l1_38, l2_38, l3_38 := l1*38, l2*38, l3*38
+	l3_19, l4_19 := l3*19, l4*19
 
-// exp sets v = a^e where e is 32 little-endian bytes, by variable-time
-// square-and-multiply. Verification handles only public exponents (p-2,
-// (p-5)/8), so variable time is fine and the simplicity buys safety.
-func (v *fe) exp(a *fe, e *[32]byte) *fe {
-	out := feOne
-	base := *a
-	for i := 0; i < 255; i++ {
-		if e[i/8]>>(uint(i)%8)&1 == 1 {
-			out.mul(&out, &base)
-		}
-		base.square(&base)
+	r0 := mul64(l0, l0)
+	r0 = addMul64(r0, l1_38, l4)
+	r0 = addMul64(r0, l2_38, l3)
+
+	r1 := mul64(l0_2, l1)
+	r1 = addMul64(r1, l2_38, l4)
+	r1 = addMul64(r1, l3_19, l3)
+
+	r2 := mul64(l0_2, l2)
+	r2 = addMul64(r2, l1, l1)
+	r2 = addMul64(r2, l3_38, l4)
+
+	r3 := mul64(l0_2, l3)
+	r3 = addMul64(r3, l1_2, l2)
+	r3 = addMul64(r3, l4_19, l4)
+
+	r4 := mul64(l0_2, l4)
+	r4 = addMul64(r4, l1_2, l3)
+	r4 = addMul64(r4, l2, l2)
+
+	return v.reduceColumns(r0, r1, r2, r3, r4)
+}
+
+// squareN sets v = a^(2^n), n >= 1.
+func (v *fe) squareN(a *fe, n int) *fe {
+	v.square(a)
+	for i := 1; i < n; i++ {
+		v.square(v)
 	}
-	*v = out
 	return v
 }
 
-// expP2 and expP58 are the two exponents verification needs: p-2 for
-// inversion and (p-5)/8 for the decompression square root.
-var expP2, expP58 [32]byte
-
-func init() {
-	// p - 2 = 2^255 - 21, little endian.
-	for i := range expP2 {
-		expP2[i] = 0xff
-	}
-	expP2[0] = 0xeb
-	expP2[31] = 0x7f
-	// (p - 5) / 8 = 2^252 - 3, little endian.
-	for i := range expP58 {
-		expP58[i] = 0xff
-	}
-	expP58[0] = 0xfd
-	expP58[31] = 0x0f
+// pow2250 returns a^(2^250-1) and a^11, the common prefix of the
+// inversion and square-root addition chains (254 squarings, 11
+// multiplications; the chain of ref10 and RFC 7748 implementations).
+func pow2250(a *fe) (r, a11 fe) {
+	var t0, t1, a9 fe
+	t0.square(a)         // 2
+	t1.squareN(&t0, 2)   // 8
+	a9.mul(a, &t1)       // 9
+	a11.mul(&t0, &a9)    // 11
+	t0.square(&a11)      // 22
+	r.mul(&a9, &t0)      // 2^5 - 1
+	t0.squareN(&r, 5)    // 2^10 - 2^5
+	r.mul(&t0, &r)       // 2^10 - 1
+	t0.squareN(&r, 10)   // 2^20 - 2^10
+	t0.mul(&t0, &r)      // 2^20 - 1
+	t1.squareN(&t0, 20)  // 2^40 - 2^20
+	t0.mul(&t1, &t0)     // 2^40 - 1
+	t0.squareN(&t0, 10)  // 2^50 - 2^10
+	r.mul(&t0, &r)       // 2^50 - 1
+	t0.squareN(&r, 50)   // 2^100 - 2^50
+	t0.mul(&t0, &r)      // 2^100 - 1
+	t1.squareN(&t0, 100) // 2^200 - 2^100
+	t0.mul(&t1, &t0)     // 2^200 - 1
+	t0.squareN(&t0, 50)  // 2^250 - 2^50
+	r.mul(&t0, &r)       // 2^250 - 1
+	return r, a11
 }
 
-// invert sets v = 1/a (and 0 for a == 0).
-func (v *fe) invert(a *fe) *fe { return v.exp(a, &expP2) }
+// invert sets v = 1/a = a^(p-2) = a^(2^255-21) (and 0 for a == 0).
+func (v *fe) invert(a *fe) *fe {
+	r, a11 := pow2250(a)
+	r.squareN(&r, 5) // 2^255 - 2^5
+	return v.mul(&r, &a11)
+}
 
-// pow22523 sets v = a^((p-5)/8).
-func (v *fe) pow22523(a *fe) *fe { return v.exp(a, &expP58) }
+// pow22523 sets v = a^((p-5)/8) = a^(2^252-3), the exponent of the
+// decompression square root.
+func (v *fe) pow22523(a *fe) *fe {
+	r, _ := pow2250(a)
+	r.squareN(&r, 2) // 2^252 - 4
+	return v.mul(&r, a)
+}
 
 // fromBytes loads a 32-byte little-endian value, masking the top bit
 // (the sign bit of point encodings). The result is not reduced mod p.

@@ -1,9 +1,31 @@
 package ed25519batch
 
+import "math/bits"
+
 // point is a group element in extended twisted Edwards coordinates
 // (X : Y : Z : T) with x = X/Z, y = Y/Z, x·y = T/Z.
 type point struct {
 	x, y, z, t fe
+}
+
+// projP2 is a point in projective coordinates (X : Y : Z), the cheapest
+// input to a doubling.
+type projP2 struct {
+	x, y, z fe
+}
+
+// projP1xP1 is the "completed" output of an addition or doubling:
+// x = X/Z, y = Y/T. Converting it costs 3 multiplications to projP2 and
+// 4 to extended.
+type projP1xP1 struct {
+	x, y, z, t fe
+}
+
+// cachedPoint is a point prepared as the right-hand operand of additions
+// (Y+X, Y−X, 2Z, 2d·T), so that each addition costs 4 multiplications
+// into projP1xP1.
+type cachedPoint struct {
+	yPlusX, yMinusX, z2, t2d fe
 }
 
 var (
@@ -17,6 +39,10 @@ var (
 	// basePoint is the Ed25519 generator B, decompressed in init from its
 	// canonical encoding (y = 4/5, x positive).
 	basePoint point
+	// baseTable and baseTable128 hold the odd multiples B, 3B, ..., 127B
+	// and the same multiples of [2^128]B: the static tables of the two
+	// 128-bit halves of the basepoint scalar (width-8 NAF).
+	baseTable, baseTable128 [64]cachedPoint
 )
 
 func init() {
@@ -28,16 +54,12 @@ func init() {
 	feD.neg(&feD)
 	feD2.add(&feD, &feD)
 
-	// (p-1)/4 = 2^253 - 5, little endian.
-	var e [32]byte
-	for i := range e {
-		e[i] = 0xff
-	}
-	e[0] = 0xfb
-	e[31] = 0x1f
+	// 2^((p-1)/4) = 2^(2^253-5) = (2^(2^252-3))² · 2.
 	var two fe
 	two.l0 = 2
-	feSqrtM1.exp(&two, &e)
+	feSqrtM1.pow22523(&two)
+	feSqrtM1.square(&feSqrtM1)
+	feSqrtM1.mul(&feSqrtM1, &two)
 
 	var enc [32]byte
 	enc[0] = 0x58
@@ -47,20 +69,15 @@ func init() {
 	if !basePoint.setBytes(enc[:]) {
 		panic("ed25519batch: base point decompression failed")
 	}
+	oddMultiples(baseTable[:], &basePoint)
+	var b128 point
+	b128.mulPow2(&basePoint, 128)
+	oddMultiples(baseTable128[:], &b128)
 }
 
-// setIdentity sets p to the neutral element (0, 1).
-func (p *point) setIdentity() *point {
-	p.x = feZero
-	p.y = feOne
-	p.z = feOne
-	p.t = feZero
-	return p
-}
-
-// isIdentity reports whether p is the neutral element: X == 0 and Y == Z.
-func (p *point) isIdentity() bool {
-	return p.x.isZero() && p.y.equal(&p.z)
+// isIdentity reports whether v is the neutral element: X == 0 and Y == Z.
+func (v *projP2) isIdentity() bool {
+	return v.x.isZero() && v.y.equal(&v.z)
 }
 
 // setBytes decodes a compressed point per RFC 8032 §5.1.3 and reports
@@ -96,7 +113,7 @@ func (p *point) setBytes(in []byte) bool {
 	var v2, v3, v7, r, check fe
 	v2.square(&v)
 	v3.mul(&v2, &v)
-	v7.mul(&v3, &v3)
+	v7.square(&v3)
 	v7.mul(&v7, &v)
 	r.mul(&u, &v7)
 	r.pow22523(&r)
@@ -130,93 +147,191 @@ func (p *point) setBytes(in []byte) bool {
 	return true
 }
 
-// add sets p = a + b using the unified extended-coordinate formula
-// (add-2008-hwcd-3); complete for the twisted Edwards curve, so it also
-// handles doubling and identity inputs.
-func (p *point) add(a, b *point) *point {
-	var ymx1, ypx1, ymx2, ypx2, A, B, C, D, E, F, G, H fe
-	ymx1.sub(&a.y, &a.x)
-	ypx1.add(&a.y, &a.x)
-	ymx2.sub(&b.y, &b.x)
-	ypx2.add(&b.y, &b.x)
-	A.mul(&ymx1, &ymx2)
-	B.mul(&ypx1, &ypx2)
-	C.mul(&a.t, &b.t)
-	C.mul(&C, &feD2)
-	D.mul(&a.z, &b.z)
-	D.add(&D, &D)
-	E.sub(&B, &A)
-	F.sub(&D, &C)
-	G.add(&D, &C)
-	H.add(&B, &A)
-	p.x.mul(&E, &F)
-	p.y.mul(&G, &H)
-	p.z.mul(&F, &G)
-	p.t.mul(&E, &H)
+// fromP1xP1 sets p to the extended form of c.
+func (p *point) fromP1xP1(c *projP1xP1) *point {
+	p.x.mul(&c.x, &c.t)
+	p.y.mul(&c.y, &c.z)
+	p.z.mul(&c.z, &c.t)
+	p.t.mul(&c.x, &c.y)
 	return p
 }
 
-// sub sets p = a - b.
-func (p *point) sub(a, b *point) *point {
-	var nb point
-	nb.x.neg(&b.x)
-	nb.y = b.y
-	nb.z = b.z
-	nb.t.neg(&b.t)
-	return p.add(a, &nb)
+// fromP1xP1 sets v to the projective form of c.
+func (v *projP2) fromP1xP1(c *projP1xP1) *projP2 {
+	v.x.mul(&c.x, &c.t)
+	v.y.mul(&c.y, &c.z)
+	v.z.mul(&c.z, &c.t)
+	return v
 }
 
-// double sets p = 2a. The unified addition formula is complete on this
-// curve, so doubling delegates to it — marginally slower than a dedicated
-// dbl formula, with no second formula to get a sign wrong in.
+// fromPoint sets c to the cached form of p.
+func (c *cachedPoint) fromPoint(p *point) *cachedPoint {
+	c.yPlusX.add(&p.y, &p.x)
+	c.yMinusX.sub(&p.y, &p.x)
+	c.z2.add(&p.z, &p.z)
+	c.t2d.mul(&p.t, &feD2)
+	return c
+}
+
+// addCached sets c = p + q with the unified extended-coordinate formula
+// (add-2008-hwcd-3 with k = 2d), which is complete on this curve: it
+// also handles doubling and identity inputs.
+func (c *projP1xP1) addCached(p *point, q *cachedPoint) *projP1xP1 {
+	var ypx, ymx, pp, mm, tt2d, zz2 fe
+	ypx.add(&p.y, &p.x)
+	ymx.sub(&p.y, &p.x)
+	pp.mul(&ypx, &q.yPlusX)
+	mm.mul(&ymx, &q.yMinusX)
+	tt2d.mul(&p.t, &q.t2d)
+	zz2.mul(&p.z, &q.z2)
+	c.x.sub(&pp, &mm)
+	c.y.add(&pp, &mm)
+	c.z.add(&zz2, &tt2d)
+	c.t.sub(&zz2, &tt2d)
+	return c
+}
+
+// subCached sets c = p - q: addCached with q negated, which swaps
+// Y+X with Y−X and flips the sign of 2d·T.
+func (c *projP1xP1) subCached(p *point, q *cachedPoint) *projP1xP1 {
+	var ypx, ymx, pp, mm, tt2d, zz2 fe
+	ypx.add(&p.y, &p.x)
+	ymx.sub(&p.y, &p.x)
+	pp.mul(&ypx, &q.yMinusX)
+	mm.mul(&ymx, &q.yPlusX)
+	tt2d.mul(&p.t, &q.t2d)
+	zz2.mul(&p.z, &q.z2)
+	c.x.sub(&pp, &mm)
+	c.y.add(&pp, &mm)
+	c.z.sub(&zz2, &tt2d)
+	c.t.add(&zz2, &tt2d)
+	return c
+}
+
+// double sets c = 2v with the a = −1 doubling formula (dbl-2008-hwcd):
+// 4 squarings, no multiplications until the conversion out of
+// projP1xP1. It is complete, like the addition formula.
+func (c *projP1xP1) double(v *projP2) *projP1xP1 {
+	var xx, yy, zz2, xy2 fe
+	xx.square(&v.x)
+	yy.square(&v.y)
+	zz2.square(&v.z)
+	zz2.add(&zz2, &zz2)
+	xy2.add(&v.x, &v.y)
+	xy2.square(&xy2)
+	c.y.add(&yy, &xx)
+	c.z.sub(&yy, &xx)
+	c.x.sub(&xy2, &c.y)
+	c.t.sub(&zz2, &c.z)
+	return c
+}
+
+// double sets p = 2a.
 func (p *point) double(a *point) *point {
-	return p.add(a, a)
+	v := projP2{x: a.x, y: a.y, z: a.z}
+	var c projP1xP1
+	return p.fromP1xP1(c.double(&v))
 }
 
-// multiscalarAccum is reusable scratch for vartimeMultiscalar so repeated
-// batches allocate nothing once the slices have grown.
-type multiscalarAccum struct {
-	nafs   [][257]int8
-	tables [][8]point
+// mulPow2 sets p = [2^k]a for k >= 1, staying projective between
+// doublings.
+func (p *point) mulPow2(a *point, k int) *point {
+	v := projP2{x: a.x, y: a.y, z: a.z}
+	var c projP1xP1
+	for i := 1; i < k; i++ {
+		v.fromP1xP1(c.double(&v))
+	}
+	return p.fromP1xP1(c.double(&v))
 }
 
-// vartimeMultiscalar sets p = Σ scalars[i]·points[i] using width-5 w-NAF
-// Straus: one shared doubling chain over all terms, which is where batch
-// verification's advantage over per-item verification comes from.
-func (acc *multiscalarAccum) vartimeMultiscalar(p *point, scalars []scalar, points []point) *point {
-	n := len(scalars)
-	if n != len(points) {
-		panic("ed25519batch: multiscalar length mismatch")
+// oddMultiples fills table with P, 3P, 5P, ... in cached form; table[j]
+// is (2j+1)P, the entry a w-NAF digit d selects as table[|d|/2].
+func oddMultiples(table []cachedPoint, p *point) {
+	var p2, acc point
+	var p2c cachedPoint
+	var c projP1xP1
+	p2c.fromPoint(p2.double(p))
+	acc = *p
+	table[0].fromPoint(&acc)
+	for j := 1; j < len(table); j++ {
+		acc.fromP1xP1(c.addCached(&acc, &p2c))
+		table[j].fromPoint(&acc)
 	}
-	if cap(acc.nafs) < n {
-		acc.nafs = make([][257]int8, n)
-		acc.tables = make([][8]point, n)
-	}
-	nafs := acc.nafs[:n]
-	tables := acc.tables[:n]
+}
 
-	for i := range points {
-		scalars[i].nonAdjacentForm(&nafs[i])
-		// Odd multiples table: 1P, 3P, ..., 15P.
-		tables[i][0] = points[i]
-		var p2 point
-		p2.double(&points[i])
-		for j := 1; j < 8; j++ {
-			tables[i][j].add(&tables[i][j-1], &p2)
+// msmTerm is one term of a multiscalar multiplication: the w-NAF digits
+// of a scalar below 2^128 and the odd multiples of its point. A w-NAF of
+// a 128-bit value has at most 129 digits.
+type msmTerm struct {
+	naf   [129]int8
+	table []cachedPoint // len 2^(w-2): w = 5 for 8 entries, w = 8 for 64
+}
+
+// setScalar writes the width-w NAF of the 128-bit value lo + hi·2^64 for
+// a table of 2^(w-2) entries: digits in {0, ±1, ±3, ..., ±(2^(w-1)-1)},
+// at most one nonzero in any w consecutive positions. It returns the
+// position of the highest nonzero digit, or -1 for zero. Variable time.
+func (m *msmTerm) setScalar(lo, hi uint64, table []cachedPoint) int {
+	m.table = table
+	m.naf = [129]int8{}
+	width := uint64(len(table)) * 4 // 2^w
+	k0, k1, k2 := lo, hi, uint64(0) // k2 catches the carry of a negative digit
+	top := -1
+	for pos := 0; k0|k1|k2 != 0; pos++ {
+		if k0&1 == 0 {
+			k0 = k0>>1 | k1<<63
+			k1 = k1>>1 | k2<<63
+			k2 >>= 1
+			continue
 		}
+		d := int64(k0 & (width - 1))
+		if d >= int64(width/2) {
+			d -= int64(width)
+		}
+		m.naf[pos] = int8(d)
+		top = pos
+		// k -= d; either way the low w bits of k become zero.
+		var c uint64
+		if d > 0 {
+			k0, c = bits.Sub64(k0, uint64(d), 0)
+			k1, c = bits.Sub64(k1, 0, c)
+			k2 -= c
+		} else {
+			k0, c = bits.Add64(k0, uint64(-d), 0)
+			k1, c = bits.Add64(k1, 0, c)
+			k2 += c
+		}
+		k0 = k0>>1 | k1<<63
+		k1 = k1>>1 | k2<<63
+		k2 >>= 1
 	}
+	return top
+}
 
-	p.setIdentity()
-	for pos := 256; pos >= 0; pos-- {
-		p.double(p)
-		for i := range nafs {
-			d := nafs[i][pos]
+// vartimeMultiscalar sets v = Σ terms[i] by Straus' method: one shared
+// chain of top+1 doublings, with each term's nonzero digits added from
+// its table. Everything stays projective; a position with additions pays
+// one conversion to extended form per addition.
+func vartimeMultiscalar(v *projP2, terms []msmTerm, top int) *projP2 {
+	*v = projP2{y: feOne, z: feOne}
+	var c projP1xP1
+	var e point
+	for pos := top; pos >= 0; pos-- {
+		c.double(v)
+		for i := range terms {
+			t := &terms[i]
+			d := t.naf[pos]
+			if d == 0 {
+				continue
+			}
+			e.fromP1xP1(&c)
 			if d > 0 {
-				p.add(p, &tables[i][d/2])
-			} else if d < 0 {
-				p.sub(p, &tables[i][(-d)/2])
+				c.addCached(&e, &t.table[d/2])
+			} else {
+				c.subCached(&e, &t.table[-d/2])
 			}
 		}
+		v.fromP1xP1(&c)
 	}
-	return p
+	return v
 }

@@ -187,42 +187,3 @@ func (s *scalar) sub(a, b *scalar) *scalar {
 func (s *scalar) isZero() bool {
 	return s[0]|s[1]|s[2]|s[3] == 0
 }
-
-// nonAdjacentForm writes the width-5 non-adjacent form of s: at most 257
-// signed digits in {0, ±1, ±3, ..., ±15}, with at most one nonzero in
-// any 5 consecutive positions. Variable time.
-func (s *scalar) nonAdjacentForm(naf *[257]int8) {
-	var k [5]uint64
-	copy(k[:4], s[:])
-	for i := range naf {
-		naf[i] = 0
-	}
-	pos := 0
-	for k[0]|k[1]|k[2]|k[3]|k[4] != 0 {
-		if k[0]&1 == 1 {
-			digit := int8(k[0] & 31)
-			if digit >= 16 {
-				digit -= 32
-			}
-			naf[pos] = digit
-			// k -= digit; for negative digits that is an addition. Either
-			// way the low 5 bits of k become zero.
-			if digit > 0 {
-				borrow := uint64(digit)
-				for i := 0; i < len(k) && borrow != 0; i++ {
-					k[i], borrow = bits.Sub64(k[i], borrow, 0)
-				}
-			} else {
-				carry := uint64(-digit)
-				for i := 0; i < len(k) && carry != 0; i++ {
-					k[i], carry = bits.Add64(k[i], carry, 0)
-				}
-			}
-		}
-		for i := 0; i < len(k)-1; i++ {
-			k[i] = k[i]>>1 | k[i+1]<<63
-		}
-		k[len(k)-1] >>= 1
-		pos++
-	}
-}

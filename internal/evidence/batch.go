@@ -148,68 +148,58 @@ func (b *BatchVerifier) Gather(e *Evidence, keys KeyResolver) error {
 	return walk(e)
 }
 
-// BatchMinSigs is the smallest window the batch equation is worth: below
-// it, per-item verification with the standard library's optimized curve
-// arithmetic is faster than this package's pure-Go multiscalar (each
-// batched term still costs NAF table setup and ~43 additions, and each
-// distinct point a decompression).
-const BatchMinSigs = 4
+// BatchMinSigs is the smallest window the batch equation is worth. The
+// crossover comes from BenchmarkVerifyBatchSweep in internal/ed25519batch
+// (numbers in docs/PERFORMANCE.md): with a warm key cache one signature
+// through the batch equation costs about one crypto/ed25519.Verify, and
+// every window of two or more costs less than verifying it per item:
+// about 0.8 of the per-item cost at two signatures, 0.75 or less from
+// three and about half from five. The sweep covered windows whose n
+// signatures are all under distinct keys (u = n) and under three shared
+// keys; fewer keys made the batch cheaper but no key shape brought a
+// window of two or more up to the per-item cost, so the rule reads the
+// window's size only.
+const BatchMinSigs = 2
 
-// Flush verifies every gathered signature — one batch equation, with
-// per-item standard-library fallback on batch failure — and seeds the
-// verdicts into the memo. Windows smaller than BatchMinSigs skip the
-// equation and verify per item directly. It reports how many signatures
-// were settled and whether the per-item path ran. The window is reset
-// either way.
-func (b *BatchVerifier) Flush() (settled int, fellBack bool) {
+// Flush verifies every gathered signature and seeds the verdicts into the
+// memo. Windows of at least BatchMinSigs signatures go through one batch
+// equation, re-verified per item with the standard library if it fails;
+// smaller windows verify per item directly. The window is reset either
+// way.
+func (b *BatchVerifier) Flush() {
 	n := len(b.items)
 	if n == 0 {
-		return 0, false
+		return
 	}
 	batchLastSize.Store(uint64(n))
-
-	if n < BatchMinSigs {
+	batched, note := false, "full signature verification (memo miss)"
+	if n >= BatchMinSigs {
+		b.bv.Reset()
 		for i := range b.items {
 			it := &b.items[i]
-			v := ed25519.Verify(it.pub, b.arena[it.off:it.end], it.sig)
-			b.memo.Seed(it.pub, b.arena[it.off+len(rot.SigPrefix):it.end], it.sig, v,
-				"full signature verification (memo miss)")
+			b.bv.Add(it.pub, b.arena[it.off:it.end], it.sig)
 		}
-		b.items = b.items[:0]
-		b.arena = b.arena[:0]
-		return n, true
+		batchBatches.Add(1)
+		if batched = b.bv.Verify(); batched {
+			// One equation proved every signature in the window.
+			batchSigs.Add(uint64(n))
+			note = "batch signature verification (window seed)"
+		} else {
+			// At least one bad signature: attribute per item with the
+			// stdlib, which keeps rejected-input semantics bit-identical
+			// to rot.Verify.
+			batchFallbacks.Add(1)
+			note = "per-item fallback after batch failure"
+		}
 	}
-
-	b.bv.Reset()
 	for i := range b.items {
 		it := &b.items[i]
-		b.bv.Add(it.pub, b.arena[it.off:it.end], it.sig)
-	}
-	if b.bv.Verify() {
-		// One equation proved every signature in the window.
-		for i := range b.items {
-			it := &b.items[i]
-			b.memo.Seed(it.pub, b.arena[it.off+len(rot.SigPrefix):it.end], it.sig, true,
-				"batch signature verification (window seed)")
-		}
-		batchBatches.Add(1)
-		batchSigs.Add(uint64(n))
-	} else {
-		// At least one bad signature: attribute per item with the stdlib,
-		// which keeps rejected-input semantics bit-identical to rot.Verify.
-		for i := range b.items {
-			it := &b.items[i]
-			v := ed25519.Verify(it.pub, b.arena[it.off:it.end], it.sig)
-			b.memo.Seed(it.pub, b.arena[it.off+len(rot.SigPrefix):it.end], it.sig, v,
-				"per-item fallback after batch failure")
-		}
-		batchBatches.Add(1)
-		batchFallbacks.Add(1)
-		fellBack = true
+		msg := b.arena[it.off:it.end]
+		v := batched || ed25519.Verify(it.pub, msg, it.sig)
+		b.memo.Seed(it.pub, msg[len(rot.SigPrefix):], it.sig, v, note)
 	}
 	b.items = b.items[:0]
 	b.arena = b.arena[:0]
-	return n, fellBack
 }
 
 // VerifySignaturesBatched is VerifySignaturesMemo with the verification
