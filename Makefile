@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-quick bench-throughput bench-batch fuzz-quick telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
+.PHONY: all build test race vet test-purego bench bench-quick bench-throughput bench-batch fuzz-quick telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
 
 all: build test race vet
 
@@ -53,6 +53,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# The Ed25519 core's portable field arithmetic: internal/ed25519batch
+# uses assembly kernels on amd64, and the purego build tag selects the Go
+# bodies every other architecture runs, so this keeps them tested here.
+test-purego:
+	$(GO) test -tags purego ./internal/ed25519batch ./internal/evidence
+
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
@@ -74,12 +80,13 @@ bench-batch:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ed25519batch
 
 # Every native fuzz target for a short fixed time: the in-band header
-# parser, the RATS message codec, and batch verification against
-# crypto/ed25519. Each starts from its checked-in seed corpus.
+# parser, the RATS message codec, and batch and single verification
+# against crypto/ed25519. Each starts from its checked-in seed corpus.
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime 10s ./internal/pera
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/rats
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsStdlib$$' -fuzztime 10s ./internal/ed25519batch
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyOneVsStdlib$$' -fuzztime 10s ./internal/ed25519batch
 
 # End-to-end observability check: run perasim with a live endpoint,
 # scrape /metrics, assert the per-stage histograms are populated.

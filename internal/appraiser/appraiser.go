@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pera/internal/auditlog"
+	"pera/internal/ed25519batch"
 	"pera/internal/evidence"
 	"pera/internal/rats"
 	"pera/internal/rot"
@@ -138,8 +139,7 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 // VerifyCertificate checks the certificate's signature under the issuing
 // appraiser's public key.
 func VerifyCertificate(pub ed25519.PublicKey, c *Certificate) error {
-	if len(pub) != ed25519.PublicKeySize ||
-		!ed25519.Verify(pub, certMessage(c), c.Signature) {
+	if !ed25519batch.Verify(pub, certMessage(c), c.Signature) {
 		return ErrBadCertificate
 	}
 	return nil
@@ -181,7 +181,7 @@ type Appraiser struct {
 
 	// memo, when enabled, caches signature-verification outcomes so
 	// re-presented high-inertia evidence costs one hash per signature
-	// node instead of one ed25519.Verify. Set via EnableMemo.
+	// node instead of one Ed25519 verification. Set via EnableMemo.
 	memo *evidence.VerifyMemo
 
 	// verifySec, when instrumented, times the Verify half of each

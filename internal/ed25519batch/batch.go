@@ -14,25 +14,27 @@ import (
 // so steady-state batches allocate only when they outgrow every previous
 // batch. Decompressed public keys and their tables are cached across
 // batches (up to keyCacheSize keys), so a key costs a decompression and
-// table build once per Verifier, not once per batch. Not safe for
-// concurrent use.
+// table build once per Verifier, not once per batch; VerifyOne draws on
+// the same cache. Not safe for concurrent use.
 //
 // Semantics: Verify returns true only if every added triple is valid
 // under the cofactored verification equation. It returns false if any
-// triple is invalid, malformed (wrong key/signature length, non-canonical
-// point or scalar encoding), or if randomness is unavailable — callers
-// are expected to attribute failures by re-checking items one at a time
-// with crypto/ed25519.Verify.
+// triple is invalid, malformed (wrong key/signature length, a public key
+// that is not a curve point, a non-canonical R or s), or if randomness
+// is unavailable — callers are expected to attribute failures by
+// re-checking items one at a time with VerifyOne.
 //
-// Agreement with crypto/ed25519: for honestly generated signatures the
-// cofactored and cofactorless equations always agree. They can disagree
-// only on adversarially crafted signatures involving small-order
-// components, where the batch equation may accept what per-item
-// verification rejects; every encoding crypto/ed25519 rejects outright
-// (non-canonical y, s >= L) is rejected here too. Callers that must be
-// bit-identical to the standard library confirm batch *failures* per
-// item (which this API forces anyway) and may additionally spot-check
-// batch successes; see internal/evidence for the policy this repo uses.
+// Agreement with crypto/ed25519: public keys decode the way the standard
+// library decodes them (a non-reduced y and x = 0 with the sign bit set
+// are accepted), and the encodings it rejects outright — a non-canonical
+// R, s >= L — are rejected here too. For honestly generated signatures
+// the cofactored and cofactorless equations always agree. They can
+// disagree only on adversarially crafted signatures involving
+// small-order components, where the batch equation may accept what
+// per-item verification rejects. Callers that must match the standard
+// library confirm batch *failures* per item (which this API forces
+// anyway) and may additionally spot-check batch successes; see
+// internal/evidence for the policy this repo uses.
 type Verifier struct {
 	bad   bool
 	items []batchItem
@@ -163,7 +165,7 @@ func (v *Verifier) Add(pub ed25519.PublicKey, message, sig []byte) {
 		v.bad = true
 		return
 	}
-	if !item.r.setBytes(sig[:32]) {
+	if !item.r.setCanonicalBytes(sig[:32]) {
 		v.bad = true
 		return
 	}

@@ -266,34 +266,11 @@ func refScalarMult(k *big.Int, p *point) point {
 	return acc
 }
 
-// order8Point returns a point of exact order 8: [L]P for a random curve
-// point P lies in the torsion subgroup, and is of order 8 whenever [4] of
-// it is not the identity.
-func order8Point(t *testing.T, rng *mrand.Rand) point {
-	for i := 0; i < 100; i++ {
-		var enc [32]byte
-		rng.Read(enc[:])
-		var p point
-		if !p.setBytes(enc[:]) {
-			continue
-		}
-		q := refScalarMult(lBig, &p)
-		var q4 point
-		q4.double(&q)
-		q4.double(&q4)
-		if !q4.isIdentity() {
-			return q
-		}
-	}
-	t.Fatal("no order-8 point found")
-	return point{}
-}
-
 func TestPointAddDouble(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(6))
 	var id point
 	id.setIdentity()
-	t8 := order8Point(t, rng)
+	t8 := smallOrder()[1]
 	cases := []point{id, basePoint, t8}
 	for i := 0; i < 20; i++ {
 		k := new(big.Int).Rand(rng, lBig)
@@ -369,7 +346,7 @@ func TestOddMultiplesTables(t *testing.T) {
 	b128 := refScalarMult(new(big.Int).Lsh(big.NewInt(1), 128), &basePoint)
 	check("baseTable128", baseTable128[:], &b128)
 	p := refScalarMult(new(big.Int).Rand(rng, lBig), &basePoint)
-	p.add(&p, ptr(order8Point(t, rng)))
+	p.add(&p, ptr(smallOrder()[1]))
 	var table [8]cachedPoint
 	oddMultiples(table[:], &p)
 	check("oddMultiples", table[:], &p)
@@ -377,7 +354,7 @@ func TestOddMultiplesTables(t *testing.T) {
 
 func TestMultiscalarVsReference(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(8))
-	t8 := order8Point(t, rng)
+	t8 := smallOrder()[1]
 	two128 := new(big.Int).Lsh(big.NewInt(1), 128)
 	for trial := 0; trial < 12; trial++ {
 		var keys keyCache
@@ -529,6 +506,10 @@ func TestNonAdjacentForm(t *testing.T) {
 				lo, hi = 0, 0
 			case 1:
 				lo, hi = ^uint64(0), ^uint64(0) // 2^128-1: the NAF needs digit 128
+			case 2:
+				lo = 0 // a run of 64 zero digits, skipped in one shift
+			case 3:
+				lo, hi = 1<<63, 0 // one digit, at the top of the low word
 			}
 			want := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
 			want.Or(want, new(big.Int).SetUint64(lo))
@@ -765,14 +746,16 @@ func TestVerifyBatchConvenience(t *testing.T) {
 }
 
 // BenchmarkVerifyBatchSweep is the evidence for evidence.BatchVerifier's
-// window rule: ns per signature of one batch equation against one
-// crypto/ed25519.Verify per signature, over window sizes n and two key
-// shapes — every signature under its own key (u = n) and three keys
-// shared round-robin (u = min(n, 3)). The same keys sign every window,
-// so the batch runs with a warm key cache, as a switch or appraiser
-// does in steady state; at n = 96 and 192 the distinct shape overflows
-// the cache bound, and the keys past it are prepared afresh in every
-// window.
+// window rule: ns per signature of one batch equation against the
+// per-item path — one VerifyOne per signature on the same Verifier
+// (arm "one") — and, for reference, one crypto/ed25519.Verify per
+// signature (arm "stdlib"), over window sizes n and two key shapes:
+// every signature under its own key (u = n) and three keys shared
+// round-robin (u = min(n, 3)). The same keys sign every window, so the
+// batch and VerifyOne run with a warm key cache, as a switch or
+// appraiser does in steady state; at n = 96 and 192 the distinct shape
+// overflows the cache bound, and the keys past it are prepared afresh
+// in every window.
 func BenchmarkVerifyBatchSweep(b *testing.B) {
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 96, 192} {
 		for _, shape := range []struct {
@@ -791,6 +774,18 @@ func BenchmarkVerifyBatchSweep(b *testing.B) {
 					}
 					if !v.Verify() {
 						b.Fatal("batch rejected")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sig")
+			})
+			b.Run(name+"/one", func(b *testing.B) {
+				v := NewVerifier()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j := range sigs {
+						if !v.VerifyOne(pubs[j], msgs[j], sigs[j]) {
+							b.Fatal("rejected")
+						}
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sig")

@@ -1,5 +1,7 @@
-// Package ed25519batch implements batch verification of Ed25519
-// signatures over a compact, self-contained edwards25519 arithmetic core.
+// Package ed25519batch is the Ed25519 verification core of the attested
+// path: batch verification, and a single-signature verifier with
+// crypto/ed25519's exact verdicts, over a compact edwards25519
+// arithmetic core.
 //
 // The Go standard library keeps its edwards25519 implementation internal
 // and exposes only one-at-a-time ed25519.Verify, which costs one full
@@ -18,9 +20,21 @@
 //
 // with independent 128-bit random blinders z_i, h_i = SHA-512(R‖A‖M)
 // mod L. A batch that fails says only "at least one signature is bad";
-// callers attribute failures by falling back to per-item
-// crypto/ed25519.Verify, which also keeps the standard library the
-// ground truth for every rejected input (see evidence.BatchVerifier).
+// callers attribute failures by falling back to per-item VerifyOne (see
+// evidence.BatchVerifier).
+//
+// VerifyOne and Verify check one signature with the standard library's
+// cofactorless rules, reusing the batch equation's cached key tables and
+// 128-bit split: [s]B − [k]A is 4 terms under 128 doublings. Their
+// verdicts equal crypto/ed25519.Verify's on every input, which
+// FuzzVerifyOneVsStdlib checks against the standard library as the
+// oracle.
+//
+// Field multiplication and squaring run on amd64 in assembly kernels
+// copied from Go's own edwards25519 field package (fe_amd64.s); the
+// portable Go bodies (feMulGeneric, feSquareGeneric) serve every other
+// architecture and builds with the purego tag, and return the same
+// limbs.
 //
 // All arithmetic here is variable-time: batch verification handles only
 // public values (public keys, signatures, messages), never secrets.
@@ -106,9 +120,23 @@ func (v *fe) reduceColumns(r0, r1, r2, r3, r4 uint128) *fe {
 	return v.setCarried(r0.lo&mask51+c4*19, r1.lo&mask51+c0, r2.lo&mask51+c1, r3.lo&mask51+c2, r4.lo&mask51+c3)
 }
 
-// mul sets v = a * b: 25 limb products, with the columns that wrap past
-// 2^255 pre-multiplied by 19.
+// mul sets v = a * b.
 func (v *fe) mul(a, b *fe) *fe {
+	feMul(v, a, b)
+	return v
+}
+
+// square sets v = a².
+func (v *fe) square(a *fe) *fe {
+	feSquare(v, a)
+	return v
+}
+
+// feMulGeneric sets v = a * b: 25 limb products, with the columns that
+// wrap past 2^255 pre-multiplied by 19. It is the portable body of feMul;
+// the amd64 kernel (fe_amd64.s) computes the same column sums and carry
+// and so returns the same limbs.
+func feMulGeneric(v, a, b *fe) {
 	a0, a1, a2, a3, a4 := a.l0, a.l1, a.l2, a.l3, a.l4
 	b0, b1, b2, b3, b4 := b.l0, b.l1, b.l2, b.l3, b.l4
 	// b limbs are < 2^52, so 19·b fits in 64 bits (< 2^57).
@@ -144,12 +172,13 @@ func (v *fe) mul(a, b *fe) *fe {
 	r4 = addMul64(r4, a3, b1)
 	r4 = addMul64(r4, a4, b0)
 
-	return v.reduceColumns(r0, r1, r2, r3, r4)
+	v.reduceColumns(r0, r1, r2, r3, r4)
 }
 
-// square sets v = a². The symmetric cross products are computed once and
-// doubled, so a squaring costs 15 limb products instead of mul's 25.
-func (v *fe) square(a *fe) *fe {
+// feSquareGeneric sets v = a². The symmetric cross products are computed
+// once and doubled, so a squaring costs 15 limb products instead of
+// mul's 25. It is the portable body of feSquare, like feMulGeneric.
+func feSquareGeneric(v, a *fe) {
 	l0, l1, l2, l3, l4 := a.l0, a.l1, a.l2, a.l3, a.l4
 	l0_2, l1_2 := l0*2, l1*2
 	l1_38, l2_38, l3_38 := l1*38, l2*38, l3*38
@@ -175,7 +204,7 @@ func (v *fe) square(a *fe) *fe {
 	r4 = addMul64(r4, l1_2, l3)
 	r4 = addMul64(r4, l2, l2)
 
-	return v.reduceColumns(r0, r1, r2, r3, r4)
+	v.reduceColumns(r0, r1, r2, r3, r4)
 }
 
 // squareN sets v = a^(2^n), n >= 1.

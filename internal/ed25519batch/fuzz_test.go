@@ -36,7 +36,9 @@ const (
 )
 
 // nonCanonicalY writes y = p + k (k < 19, so y < 2^255) into enc, keeping
-// enc's sign bit. crypto/ed25519 rejects such encodings outright.
+// enc's sign bit. crypto/ed25519 rejects such an R outright (it compares
+// R with a canonical encoding) but decodes such a key with y mod p; the
+// signature then fails unless it was made over these key bytes.
 func nonCanonicalY(enc []byte, k byte) {
 	sign := enc[31] & 0x80
 	enc[0] = 0xed + k%19
@@ -44,6 +46,38 @@ func nonCanonicalY(enc []byte, k byte) {
 		enc[i] = 0xff
 	}
 	enc[31] = 0x7f | sign
+}
+
+// mutate applies one of the mutations above to a signature triple in
+// place, choosing the flipped bit from pos, and returns the message
+// (which a message flip extends by one byte).
+func mutate(mut int, pos uint8, pub ed25519.PublicKey, msg, sig []byte) []byte {
+	bit := byte(1) << (pos % 8)
+	switch mut {
+	case mutFlipR:
+		sig[pos%32] ^= bit
+	case mutFlipS:
+		sig[32+pos%32] ^= bit
+	case mutFlipMessage:
+		msg = append(msg, 0)
+		msg[int(pos)%len(msg)] ^= bit
+	case mutFlipKey:
+		pub[pos%32] ^= bit
+	case mutSPlusL:
+		var s scalar
+		s.setCanonicalBytes(sig[32:])
+		var carry uint64
+		for i := range s { // s + L < 2^254: no carry out
+			s[i], carry = bits.Add64(s[i], lWords[i], carry)
+		}
+		b := scalarBytes(&s)
+		copy(sig[32:], b[:])
+	case mutNonCanonR:
+		nonCanonicalY(sig[:32], pos)
+	case mutNonCanonKey:
+		nonCanonicalY(pub, pos)
+	}
+	return msg
 }
 
 // FuzzBatchVsStdlib checks that a batch verdict equals the AND of
@@ -57,8 +91,9 @@ func nonCanonicalY(enc []byte, k byte) {
 // the batch equation is cofactored and crypto/ed25519 is not, so a
 // signature built with a small-order component can pass the batch and
 // fail per item. That divergence is known and tracked (ROADMAP item 4);
-// callers keep the standard library as the ground truth for every
-// rejection. Random byte flips reach such inputs with negligible
+// callers settle every rejection per item with VerifyOne, whose agreement
+// with the standard library FuzzVerifyOneVsStdlib checks on torsion
+// inputs too. Random byte flips reach such inputs with negligible
 // probability.
 func FuzzBatchVsStdlib(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(mutNone), uint8(0), uint8(0), []byte("seed"))
@@ -76,36 +111,8 @@ func FuzzBatchVsStdlib(f *testing.F) {
 		}
 
 		victim := int(at) % size
-		sig := sigs[victim]
 		pub := append(ed25519.PublicKey(nil), pubs[victim]...)
-		bit := byte(1) << (pos % 8)
-		switch int(mut) % mutCount {
-		case mutFlipR:
-			sig[pos%32] ^= bit
-		case mutFlipS:
-			sig[32+pos%32] ^= bit
-		case mutFlipMessage:
-			msgs[victim] = append(msgs[victim], 0)
-			msgs[victim][int(pos)%len(msgs[victim])] ^= bit
-		case mutFlipKey:
-			pub[pos%32] ^= bit
-		case mutSPlusL:
-			var s scalar
-			s.setCanonicalBytes(sig[32:])
-			var carry uint64
-			for i := range s { // s + L < 2^254: no carry out
-				s[i], carry = bits.Add64(s[i], lWords[i], carry)
-			}
-			for i, w := range s {
-				for j := 0; j < 8; j++ {
-					sig[32+i*8+j] = byte(w >> (8 * uint(j)))
-				}
-			}
-		case mutNonCanonR:
-			nonCanonicalY(sig[:32], pos)
-		case mutNonCanonKey:
-			nonCanonicalY(pub, pos)
-		}
+		msgs[victim] = mutate(int(mut)%mutCount, pos, pub, msgs[victim], sigs[victim])
 		pubs[victim] = pub
 
 		want := true
@@ -179,4 +186,66 @@ func TestKeyCacheOverflow(t *testing.T) {
 	if v.Verify() {
 		t.Fatal("window with one wrong message accepted")
 	}
+}
+
+// Input shapes of FuzzVerifyOneVsStdlib.
+const (
+	shapeHonest  = iota // a fuzzKeys signature, then one mutation
+	shapeTorsion        // a torsionCase signature, then one mutation
+	shapeRandom         // key, signature and message straight from the fuzz bytes
+	shapeLength         // key and signature of a fuzzed length
+	shapeCount
+)
+
+// FuzzVerifyOneVsStdlib checks that VerifyOne (on a fresh and a warm
+// Verifier) and Verify return crypto/ed25519.Verify's verdict on every
+// input: honest signatures and signatures over keys and R values with
+// small-order components (torsionCase), each followed by one of the
+// FuzzBatchVsStdlib mutations — bit flips in R, s, the message or the
+// key, s + L, non-canonical R or key — and raw fuzz bytes as key and
+// signature, and wrong key or signature lengths. The standard library
+// panics on a key of the wrong length, so there the expected verdict is
+// false.
+func FuzzVerifyOneVsStdlib(f *testing.F) {
+	f.Add(uint8(shapeHonest), uint8(mutNone), uint8(0), uint8(0), []byte("seed"))
+	f.Fuzz(func(t *testing.T, shape, mut, pos, aux uint8, data []byte) {
+		var pub ed25519.PublicKey
+		var msg, sig []byte
+		switch int(shape) % shapeCount {
+		case shapeHonest:
+			priv := fuzzKeys[int(aux)%len(fuzzKeys)]
+			pub = append(pub, priv.Public().(ed25519.PublicKey)...)
+			msg = append(msg, data...)
+			sig = ed25519.Sign(priv, msg)
+		case shapeTorsion:
+			msg = append(msg, data...)
+			pub, sig = torsionShape(aux, pos).sign(append([]byte{pos}, data...), msg)
+		case shapeRandom:
+			raw := make([]byte, 96)
+			copy(raw, data)
+			if aux&1 == 1 {
+				raw[95] &= 0x0f // s < 2^252 < L: canonical
+			}
+			pub, sig = raw[:32], raw[32:]
+			msg = data[min(len(data), 96):]
+		case shapeLength:
+			raw := make([]byte, 32+64+8)
+			copy(raw, data)
+			pub, sig, msg = raw[:32], raw[32:96], data
+			switch aux % 4 {
+			case 0:
+				pub = pub[:int(pos)%32]
+			case 1:
+				pub = raw[:33+int(pos)%8]
+			case 2:
+				sig = sig[:int(pos)%64]
+			default:
+				sig = raw[32 : 97+int(pos)%8]
+			}
+		}
+		if len(pub) == ed25519.PublicKeySize && len(sig) == ed25519.SignatureSize {
+			msg = mutate(int(mut)%mutCount, pos, pub, msg, sig)
+		}
+		checkVerifyOne(t, warmVerifier, pub, msg, sig)
+	})
 }

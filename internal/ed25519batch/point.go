@@ -80,27 +80,32 @@ func (v *projP2) isIdentity() bool {
 	return v.x.isZero() && v.y.equal(&v.z)
 }
 
-// setBytes decodes a compressed point per RFC 8032 §5.1.3 and reports
-// success. Non-canonical y (>= p) and the x=0-with-sign-bit encoding are
-// rejected, matching crypto/ed25519's decoding (filippo.io/edwards25519
-// SetBytes), so batch and per-item paths reject the same inputs.
+// toBytes stores the canonical encoding of v, at the cost of one
+// inversion.
+func (v *projP2) toBytes(out *[32]byte) {
+	var zInv fe
+	zInv.invert(&v.z)
+	var a point
+	a.x.mul(&v.x, &zInv)
+	a.y.mul(&v.y, &zInv)
+	a.toBytes(out)
+}
+
+// setBytes decodes a compressed point (RFC 8032 §5.1.3) the way
+// crypto/ed25519 decodes public keys (filippo.io/edwards25519 SetBytes)
+// and reports whether the point exists. Like the standard library it
+// accepts two kinds of non-canonical encoding: y is used mod p, so a
+// non-reduced y in [p, 2^255) decodes, and x = 0 with the sign bit set
+// decodes to x = 0. Signature R values must be canonical; decode them
+// with setCanonicalBytes.
 func (p *point) setBytes(in []byte) bool {
 	if len(in) != 32 {
 		return false
 	}
-	var b [32]byte
-	copy(b[:], in)
+	b := [32]byte(in)
 	signBit := b[31] >> 7
-
 	var y fe
 	y.fromBytes(&b)
-	// Canonical check: re-encoding must reproduce the input (sans sign).
-	var reenc [32]byte
-	y.toBytes(&reenc)
-	b[31] &= 0x7f
-	if reenc != b {
-		return false
-	}
 
 	// Recover x from x² = (y²-1)/(dy²+1).
 	var y2, u, v fe
@@ -133,9 +138,6 @@ func (p *point) setBytes(in []byte) bool {
 		return false // u/v is not a square: no point with this y.
 	}
 
-	if r.isZero() && signBit == 1 {
-		return false // -0 encoding is invalid.
-	}
 	if r.isNegative() != (signBit == 1) {
 		r.neg(&r)
 	}
@@ -145,6 +147,29 @@ func (p *point) setBytes(in []byte) bool {
 	p.z = feOne
 	p.t.mul(&r, &y)
 	return true
+}
+
+// setCanonicalBytes is setBytes restricted to the canonical encoding of
+// the point: y < p, and no sign bit on x = 0. A signature whose R is
+// encoded any other way fails crypto/ed25519.Verify, which compares R
+// byte for byte with a canonical encoding, so the batch equation
+// rejects it at decode.
+func (p *point) setCanonicalBytes(in []byte) bool {
+	if !p.setBytes(in) {
+		return false
+	}
+	var enc [32]byte
+	p.toBytes(&enc)
+	return enc == [32]byte(in)
+}
+
+// toBytes stores the canonical encoding of p, which must be affine
+// (Z = 1, as setBytes leaves it): y with the sign of x in the top bit.
+func (p *point) toBytes(out *[32]byte) {
+	p.y.toBytes(out)
+	if p.x.isNegative() {
+		out[31] |= 0x80
+	}
 }
 
 // fromP1xP1 sets p to the extended form of c.
@@ -275,37 +300,47 @@ func (m *msmTerm) setScalar(lo, hi uint64, table []cachedPoint) int {
 	m.table = table
 	m.naf = [129]int8{}
 	width := uint64(len(table)) * 4 // 2^w
+	w := bits.TrailingZeros64(width)
 	k0, k1, k2 := lo, hi, uint64(0) // k2 catches the carry of a negative digit
 	top := -1
-	for pos := 0; k0|k1|k2 != 0; pos++ {
-		if k0&1 == 0 {
-			k0 = k0>>1 | k1<<63
-			k1 = k1>>1 | k2<<63
-			k2 >>= 1
-			continue
+	for pos := 0; k0|k1|k2 != 0; {
+		// n low bits of k are zero: a run of zero digits, or the w bits a
+		// digit cleared. They are dropped at once; Go's shifts by 64
+		// yield 0, so n = 64 moves k1 into k0.
+		n := bits.TrailingZeros64(k0)
+		if n == 0 {
+			d := int64(k0 & (width - 1))
+			if d >= int64(width/2) {
+				d -= int64(width)
+			}
+			m.naf[pos] = int8(d)
+			top = pos
+			// k -= d; either way the low w bits of k become zero.
+			var c uint64
+			if d > 0 {
+				k0, c = bits.Sub64(k0, uint64(d), 0)
+				k1, c = bits.Sub64(k1, 0, c)
+				k2 -= c
+			} else {
+				k0, c = bits.Add64(k0, uint64(-d), 0)
+				k1, c = bits.Add64(k1, 0, c)
+				k2 += c
+			}
+			n = w
 		}
-		d := int64(k0 & (width - 1))
-		if d >= int64(width/2) {
-			d -= int64(width)
-		}
-		m.naf[pos] = int8(d)
-		top = pos
-		// k -= d; either way the low w bits of k become zero.
-		var c uint64
-		if d > 0 {
-			k0, c = bits.Sub64(k0, uint64(d), 0)
-			k1, c = bits.Sub64(k1, 0, c)
-			k2 -= c
-		} else {
-			k0, c = bits.Add64(k0, uint64(-d), 0)
-			k1, c = bits.Add64(k1, 0, c)
-			k2 += c
-		}
-		k0 = k0>>1 | k1<<63
-		k1 = k1>>1 | k2<<63
-		k2 >>= 1
+		k0 = k0>>n | k1<<(64-n)
+		k1 = k1>>n | k2<<(64-n)
+		k2 >>= n
+		pos += n
 	}
 	return top
+}
+
+// negate flips the sign of every digit, so the term adds −[k]P.
+func (m *msmTerm) negate() {
+	for i := range m.naf {
+		m.naf[i] = -m.naf[i]
+	}
 }
 
 // vartimeMultiscalar sets v = Σ terms[i] by Straus' method: one shared

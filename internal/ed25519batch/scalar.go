@@ -130,7 +130,7 @@ func (s *scalar) setBytes16(b *[16]byte) *scalar {
 // setCanonicalBytes sets s from 32 little-endian bytes and reports
 // whether the value was canonical (< L). RFC 8032 requires rejecting
 // signatures whose s is not, and crypto/ed25519 enforces the same, so
-// the batch path must too for verdicts to stay bit-identical.
+// VerifyOne and the batch equation do too.
 func (s *scalar) setCanonicalBytes(b []byte) bool {
 	if len(b) != 32 {
 		return false

@@ -64,8 +64,10 @@ func ReadBatchStats() BatchStats {
 //
 // When the batch equation fails — at least one signature in the window is
 // bad — every gathered triple is re-verified individually with
-// crypto/ed25519 (the standard library stays the ground truth for all
-// rejections) and the per-item verdicts are seeded instead.
+// ed25519batch's VerifyOne, whose verdicts are crypto/ed25519.Verify's
+// (FuzzVerifyOneVsStdlib pins that agreement, the standard library
+// staying the test oracle), and the per-item verdicts are seeded
+// instead.
 //
 // A BatchVerifier is not safe for concurrent use; pools hold one per
 // verify window. Zero allocation in steady state: the message arena and
@@ -150,22 +152,24 @@ func (b *BatchVerifier) Gather(e *Evidence, keys KeyResolver) error {
 
 // BatchMinSigs is the smallest window the batch equation is worth. The
 // crossover comes from BenchmarkVerifyBatchSweep in internal/ed25519batch
-// (numbers in docs/PERFORMANCE.md): with a warm key cache one signature
-// through the batch equation costs about one crypto/ed25519.Verify, and
-// every window of two or more costs less than verifying it per item:
-// about 0.8 of the per-item cost at two signatures, 0.75 or less from
-// three and about half from five. The sweep covered windows whose n
+// (numbers in docs/PERFORMANCE.md), which times the batch against the
+// per-item path Flush would take instead — VerifyOne on the same
+// Verifier, with a warm key cache. One signature through the batch
+// equation costs 1.27–1.34 VerifyOnes, so a window of one goes per item.
+// Two cost 0.85–0.94 of two VerifyOnes (and 0.80 under one shared key in
+// a paired, interleaved run of the same comparison), three or more 0.85
+// or less, falling to about 0.65 at eight distinct keys and 0.5 at eight
+// signatures under three keys. The sweep covered windows whose n
 // signatures are all under distinct keys (u = n) and under three shared
 // keys; fewer keys made the batch cheaper but no key shape brought a
 // window of two or more up to the per-item cost, so the rule reads the
-// window's size only.
+// window's size only, and stays at two.
 const BatchMinSigs = 2
 
 // Flush verifies every gathered signature and seeds the verdicts into the
 // memo. Windows of at least BatchMinSigs signatures go through one batch
-// equation, re-verified per item with the standard library if it fails;
-// smaller windows verify per item directly. The window is reset either
-// way.
+// equation, re-verified per item with VerifyOne if it fails; smaller
+// windows verify per item directly. The window is reset either way.
 func (b *BatchVerifier) Flush() {
 	n := len(b.items)
 	if n == 0 {
@@ -185,9 +189,9 @@ func (b *BatchVerifier) Flush() {
 			batchSigs.Add(uint64(n))
 			note = "batch signature verification (window seed)"
 		} else {
-			// At least one bad signature: attribute per item with the
-			// stdlib, which keeps rejected-input semantics bit-identical
-			// to rot.Verify.
+			// At least one bad signature: attribute per item with
+			// VerifyOne, which renders rot.Verify's verdict on every
+			// input.
 			batchFallbacks.Add(1)
 			note = "per-item fallback after batch failure"
 		}
@@ -195,7 +199,7 @@ func (b *BatchVerifier) Flush() {
 	for i := range b.items {
 		it := &b.items[i]
 		msg := b.arena[it.off:it.end]
-		v := batched || ed25519.Verify(it.pub, msg, it.sig)
+		v := batched || b.bv.VerifyOne(it.pub, msg, it.sig)
 		b.memo.Seed(it.pub, msg[len(rot.SigPrefix):], it.sig, v, note)
 	}
 	b.items = b.items[:0]

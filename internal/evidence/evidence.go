@@ -224,7 +224,7 @@ func VerifySignatures(e *Evidence, keys KeyResolver) (int, error) {
 
 // VerifySignaturesMemo is VerifySignatures with an optional verification
 // memo: signature nodes whose (key, message, signature) triple was checked
-// before cost one hash lookup instead of one ed25519.Verify. A nil memo
+// before cost one hash lookup instead of one Ed25519 verification. A nil memo
 // verifies everything in full.
 func VerifySignaturesMemo(e *Evidence, keys KeyResolver, memo *VerifyMemo) (int, error) {
 	if e == nil {

@@ -19,7 +19,8 @@ import (
 // evidence re-presented across thousands of packets is byte-identical
 // (claims are cached on the switch and Ed25519 signing is deterministic),
 // so after the first full verification each re-presentation costs one
-// SHA-256 over the candidate triple instead of one ed25519.Verify.
+// SHA-256 over the candidate triple instead of one full Ed25519
+// verification (ed25519batch.Verify, through rot.Verify).
 //
 // Both verdicts are cacheable: a (key, message, signature) triple that
 // failed once fails forever, so negative results are memoized too and a

@@ -63,7 +63,7 @@ type Config struct {
 	VerifyIncoming evidence.KeyResolver
 	// VerifyMemo, when non-nil, memoizes the Verify stage's signature
 	// checks, so a high-inertia chain re-presented across packets costs
-	// one hash instead of one ed25519.Verify per signature node.
+	// one hash instead of one Ed25519 verification per signature node.
 	VerifyMemo *evidence.VerifyMemo
 	// Spans tunes in-band hop-span production for the observatory plane
 	// (see hopspan.go): per-hop place/timing/outcome records appended to

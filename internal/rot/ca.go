@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"pera/internal/ed25519batch"
 )
 
 // AIKCertificate binds a platform name to its AIK public key under an
@@ -117,11 +119,8 @@ func (a *Authority) IsRevoked(serial uint64) bool {
 // Revocation must be checked separately against the issuing authority (or a
 // distributed revocation list) since the certificate itself is immutable.
 func VerifyCertificate(authorityPub ed25519.PublicKey, cert *AIKCertificate) error {
-	if len(authorityPub) != ed25519.PublicKeySize {
-		return ErrCertificate
-	}
 	msg := certMessage(cert.Platform, cert.AIK, cert.Authority, cert.Serial)
-	if !ed25519.Verify(authorityPub, msg, cert.Signature) {
+	if !ed25519batch.Verify(authorityPub, msg, cert.Signature) {
 		return ErrCertificate
 	}
 	return nil

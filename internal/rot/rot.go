@@ -29,6 +29,8 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"pera/internal/ed25519batch"
 )
 
 // DigestSize is the size in bytes of all measurement digests (SHA-256).
@@ -253,7 +255,7 @@ func (r *RoT) Quote(nonce []byte, pcrSelect ...int) (*Quote, error) {
 
 // SigPrefix is the domain-separation prefix Sign prepends to every
 // message before the Ed25519 operation. Batch verifiers that feed raw
-// triples to crypto/ed25519 (or the batch equation) must build
+// triples to an Ed25519 verifier (or the batch equation) must build
 // SigPrefix‖message themselves to match what Sign actually signed.
 const SigPrefix = "PERA-SIG-V1\x00"
 
@@ -282,13 +284,11 @@ func (r *RoT) AuditKey() []byte {
 	return h.Sum(nil)
 }
 
-// Verify checks a detached signature produced by Sign under pub.
+// Verify checks a detached signature produced by Sign under pub; a key or
+// signature of the wrong length fails.
 func Verify(pub ed25519.PublicKey, message, sig []byte) bool {
-	if len(pub) != ed25519.PublicKeySize {
-		return false
-	}
 	msg := append([]byte(SigPrefix), message...)
-	return ed25519.Verify(pub, msg, sig)
+	return ed25519batch.Verify(pub, msg, sig)
 }
 
 func normalizeSelection(sel []int) []int {
@@ -318,11 +318,8 @@ func digestPCRs(pcrs *[NumPCRs]Digest, sel []int) Digest {
 // VerifyQuote checks q's signature under pub and that the nonce matches.
 // It does not check PCR contents; use VerifyQuoteAgainst for that.
 func VerifyQuote(pub ed25519.PublicKey, q *Quote, nonce []byte) error {
-	if len(pub) != ed25519.PublicKeySize {
-		return ErrQuoteSignature
-	}
 	msg := quoteMessage(q.Platform, q.Nonce, q.PCRSelect, q.PCRDigest, q.Boots, q.Counter)
-	if !ed25519.Verify(pub, msg, q.Signature) {
+	if !ed25519batch.Verify(pub, msg, q.Signature) {
 		return ErrQuoteSignature
 	}
 	if nonce != nil && !equalBytes(nonce, q.Nonce) {
