@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet test-purego bench bench-quick bench-throughput bench-batch fuzz-quick telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
+.PHONY: all build test race vet test-purego bench bench-quick bench-throughput bench-batch fuzz-quick telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke flags-smoke cover fmt clean
 
 all: build test race vet
 
@@ -35,7 +35,8 @@ build:
 # (fleet_smoke.sh), and a -profile throughput run must attribute the
 # timed phase's CPU to RATS stages on /profile.json with the raw
 # cpu.pprof artifact re-summarizing offline to the same hotspot
-# (profile_smoke.sh).
+# (profile_smoke.sh), and each daemon's -h flag names and defaults must
+# match the checked-in lists (flags_smoke.sh).
 test: vet
 	$(GO) test ./...
 	$(MAKE) telemetry-smoke
@@ -46,6 +47,7 @@ test: vet
 	$(MAKE) recorder-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) profile-smoke
+	$(MAKE) flags-smoke
 
 race:
 	$(GO) test -race ./...
@@ -141,6 +143,11 @@ fleet-smoke:
 # top -file`.
 profile-smoke:
 	sh scripts/profile_smoke.sh
+
+# Flag-set check: attestd, appraised, perasim and fleetd -h must list
+# the same flag names and defaults as scripts/testdata/flags/.
+flags-smoke:
+	sh scripts/flags_smoke.sh
 
 # Coverage over the library packages with a floor: the build fails if
 # total statement coverage regresses below COVER_FLOOR percent.
