@@ -13,6 +13,9 @@
 //	attestd -listen :7422 -audit sw1.jsonl   # hash-chained RATS audit ledger
 //	attestd -listen :7422 -telemetry :9464 -trace 8   # trace 1-in-8 flows at /trace
 //	attestd -listen :7422 -telemetry :9464 -profile   # stage-attributed CPU at /profile.json
+//
+// The observability flags (-telemetry, -pprof, -trace, -audit,
+// -recorder*, -profile*) are the shared set of cmd/internal/bootstrap.
 package main
 
 import (
@@ -21,165 +24,65 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
-	"time"
 
-	"pera/internal/auditlog"
+	"pera/cmd/internal/bootstrap"
 	"pera/internal/evidence"
-	"pera/internal/freshness"
 	"pera/internal/p4ir"
 	"pera/internal/pera"
-	"pera/internal/profiler"
 	"pera/internal/rats"
-	"pera/internal/recorder"
-	"pera/internal/telemetry"
 )
-
-// flagValues flattens the parsed flag set for the bundle's config.json.
-func flagValues() map[string]string {
-	kv := make(map[string]string)
-	flag.VisitAll(func(f *flag.Flag) { kv[f.Name] = f.Value.String() })
-	return kv
-}
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7422", "TCP listen address")
-		name      = flag.String("name", "sw1", "switch platform name")
-		program   = flag.String("program", "forwarding", "dataplane program: forwarding, firewall, acl, monitor, rogue")
-		file      = flag.String("program-file", "", "load the dataplane program from a P4-lite source file instead")
-		telemAddr = flag.String("telemetry", "", "serve telemetry (/metrics, /metrics.json) on this address, e.g. :9464")
-		auditPath = flag.String("audit", "", "write the hash-chained RATS audit ledger to this file (MAC key derived from the switch RoT)")
-		pprofOn   = flag.Bool("pprof", false, "with -telemetry: also expose /debug/pprof/* on the telemetry server")
-		traceN    = flag.Uint("trace", 0, "trace 1-in-N flows (0 = off); spans served at the -telemetry /trace endpoint")
-
-		recorderDir      = flag.String("recorder", "", "enable the attestation flight recorder; incident bundles land in this directory (inspect with `attestctl incident`)")
-		recorderInterval = flag.Duration("recorder-interval", time.Second, "with -recorder: metric scrape interval")
-		recorderDebounce = flag.Duration("recorder-debounce", 30*time.Second, "with -recorder: minimum spacing between incident bundles")
-
-		profileOn  = flag.Bool("profile", false, "enable the continuous profiler: stage-attributed CPU at /profile.json, raw artifacts at /profile/pprof (inspect with `attestctl profile`)")
-		profileWin = flag.Duration("profile-window", 2*time.Second, "with -profile: one CPU capture window")
-		profMutex  = flag.Int("profile-mutex", 0, "runtime.SetMutexProfileFraction: sample 1-in-N mutex contention events (0 = off)")
-		profBlock  = flag.Int("profile-block", 0, "runtime.SetBlockProfileRate: sample blocking events lasting >= N ns (0 = off)")
+		listen   = flag.String("listen", "127.0.0.1:7422", "TCP listen address")
+		name     = flag.String("name", "sw1", "switch platform name")
+		program  = flag.String("program", "forwarding", "dataplane program: forwarding, firewall, acl, monitor, rogue")
+		file     = flag.String("program-file", "", "load the dataplane program from a P4-lite source file instead")
+		obsFlags = bootstrap.Register(flag.CommandLine,
+			bootstrap.Telemetry|bootstrap.Pprof|bootstrap.Trace|bootstrap.Audit|bootstrap.Recorder|bootstrap.Profile)
 	)
 	flag.Parse()
-
-	if *profMutex > 0 {
-		runtime.SetMutexProfileFraction(*profMutex)
-	}
-	if *profBlock > 0 {
-		runtime.SetBlockProfileRate(*profBlock)
-	}
 
 	prog, err := buildProgram(*program)
 	if *file != "" {
 		src, rerr := os.ReadFile(*file)
 		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "attestd: %v\n", rerr)
-			os.Exit(1)
+			fatal(rerr)
 		}
 		prog, err = p4ir.ParseProgram(string(src))
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	sw, err := pera.New(*name, prog, pera.Config{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
-	var audit *auditlog.Writer
-	if *auditPath != "" {
-		// The ledger MAC key is derived from this switch's RoT AIK seed,
-		// so the party that provisioned the switch — and only that party —
-		// can re-derive it to verify the chain.
-		key := sw.RoT().AuditKey()
-		audit, err = auditlog.Create(*auditPath, auditlog.Options{KeyID: *name, Key: key})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
-			os.Exit(1)
-		}
-		defer audit.Close()
-		sw.SetAudit(audit)
-		fmt.Printf("attestd: audit ledger at %s (verify with `attestctl audit verify -ledger %s -key <audit-key>`)\n", *auditPath, *auditPath)
-		fmt.Printf("audit-key %s %s\n", *name, hex.EncodeToString(key))
+	// The ledger MAC key is derived from this switch's RoT AIK seed, so
+	// the party that provisioned the switch — and only that party — can
+	// re-derive it to verify the chain.
+	o, err := obsFlags.Setup(bootstrap.Options{
+		Name: "attestd", Service: "attestd/" + *name, Log: os.Stdout,
+		AuditKey: sw.RoT().AuditKey(), AuditKeyID: *name,
+	})
+	if err != nil {
+		fatal(err)
 	}
-
-	var tracer *telemetry.FlowTracer
-	if *traceN > 0 {
-		tracer = telemetry.NewFlowTracer(0)
-		tracer.SetSampleEvery(uint32(*traceN))
-		sw.SetTracer(tracer)
-		fmt.Printf("attestd: tracing 1-in-%d flows (attestctl trace <flow|trace-id> to inspect)\n", *traceN)
+	defer o.Close()
+	sw.SetAudit(o.Audit)
+	sw.SetTracer(o.Tracer)
+	if o.Registry != nil {
+		sw.Instrument(o.Registry)
 	}
-
-	if *telemAddr != "" || *recorderDir != "" || *profileOn {
-		reg := telemetry.NewRegistry()
-		sw.Instrument(reg)
-		audit.Instrument(reg)
-		tracer.Instrument(reg)
-		var extras []telemetry.Endpoint
-		if *pprofOn {
-			extras = telemetry.PprofEndpoints()
-		}
-		var rec *recorder.Recorder
-		if *recorderDir != "" {
-			rec = recorder.New(recorder.Config{
-				Interval: *recorderInterval,
-				Service:  "attestd/" + *name,
-				Bundle: recorder.BundlerConfig{
-					Dir: *recorderDir, Debounce: *recorderDebounce,
-					Key: sw.RoT().AuditKey(), KeyID: *name,
-				},
-			})
-			rec.SetRegistry(reg)
-			rec.SetTracer(tracer)
-			rec.SetLedger(audit, *auditPath)
-			rec.SetConfigInfo(flagValues())
-			rec.Instrument(reg)
-			rec.AddSink(freshness.NewLogSink(os.Stderr))
-			rec.AddSink(freshness.NewAuditSink(audit))
-			rec.Start()
-			defer rec.Close()
-			extras = append(extras, rec.Endpoint())
-			fmt.Printf("attestd: flight recorder on — incident bundles -> %s\n", *recorderDir)
-		}
-		if *profileOn {
-			prof := profiler.New(profiler.Options{
-				Service: "attestd/" + *name, Window: *profileWin, Registry: reg,
-				Diff: profiler.DiffConfig{AutoBaseline: true},
-			})
-			prof.AddSink(freshness.NewLogSink(os.Stderr))
-			prof.AddSink(freshness.NewAuditSink(audit))
-			if rec != nil {
-				// Regressions trigger incident bundles, and bundles carry
-				// the profiler's cpu.pprof / mutex.pprof / top_diff.json.
-				prof.AddSink(rec.Sink())
-				rec.SetProfiler(prof)
-			}
-			prof.Start()
-			defer prof.Close()
-			extras = append(extras, prof.Endpoints()...)
-			fmt.Printf("attestd: continuous profiler on — %v windows at /profile.json (attestctl profile top)\n", *profileWin)
-		}
-		if *telemAddr != "" {
-			srv, err := telemetry.Serve(*telemAddr, reg, tracer, extras...)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			fmt.Printf("attestd: telemetry serving on http://%s/metrics\n", srv.Addr())
-		}
+	if err := o.Start(); err != nil {
+		fatal(err)
 	}
 
 	ln, err := rats.ListenAndServe(*listen, sw.AttesterHandler())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer ln.Close()
 
@@ -188,8 +91,7 @@ func main() {
 	fmt.Printf("key %s %s\n", *name, hex.EncodeToString(sw.RoT().Public()))
 	gs, err := sw.Golden(evidence.DetailHardware, evidence.DetailProgram, evidence.DetailTables)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	for _, g := range gs {
 		fmt.Printf("golden %s %s %s %s\n", *name, g.Target, g.Detail, hex.EncodeToString(g.Value[:]))
@@ -199,10 +101,12 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("attestd: shutting down")
-	if audit != nil {
-		audit.Close()
-		fmt.Printf("attestd: audit ledger sealed — %d records, %d dropped\n", audit.Records(), audit.Dropped())
-	}
+	o.SealAudit()
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
+	os.Exit(1)
 }
 
 func buildProgram(kind string) (*p4ir.Program, error) {

@@ -29,25 +29,28 @@ package auditlog
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+
+	"pera/internal/telemetry"
 )
 
-// Event names one RATS lifecycle step. Events shared with the flow
-// tracer use the same strings as telemetry.Stage, so an `audit explain`
-// timeline and a /trace span dump line up record for record.
+// Event names one RATS lifecycle step. The pipeline events are defined
+// from the telemetry.Stage of the same step, so an `audit explain`
+// timeline and a /trace span dump line up record for record and the two
+// vocabularies cannot drift apart.
 type Event string
 
-// Ledger events. The first block mirrors telemetry stage names; the
-// second block is ledger-only lifecycle.
+// Ledger events. The first block is the pipeline stages; the second
+// block is ledger-only lifecycle.
 const (
-	EventSign       Event = "sign"        // RoT/remote signature over evidence
-	EventEvidence   Event = "evidence"    // claim/measurement creation (uncached)
-	EventCompose    Event = "compose"     // chaining local evidence onto the header chain
-	EventCacheHit   Event = "cache_hit"   // high-inertia evidence served from cache
-	EventCacheMiss  Event = "cache_miss"  // evidence rebuilt on cache miss
-	EventVerify     Event = "verify"      // signature/quote chain verification passed
-	EventVerifyFail Event = "verify_fail" // frame dropped for an unverifiable chain
-	EventAppraise   Event = "appraise"    // appraisal of a chain started
-	EventVerdict    Event = "verdict"     // appraisal outcome with provenance
+	EventSign       = Event(telemetry.StageSign)       // RoT/remote signature over evidence
+	EventEvidence   = Event(telemetry.StageEvidence)   // claim/measurement creation (uncached)
+	EventCompose    = Event(telemetry.StageCompose)    // chaining local evidence onto the header chain
+	EventCacheHit   = Event(telemetry.StageCacheHit)   // high-inertia evidence served from cache
+	EventCacheMiss  = Event(telemetry.StageCacheMiss)  // evidence rebuilt on cache miss
+	EventVerify     = Event(telemetry.StageVerify)     // signature/quote chain verification passed
+	EventVerifyFail = Event(telemetry.StageVerifyFail) // frame dropped for an unverifiable chain
+	EventAppraise   = Event(telemetry.StageAppraise)   // appraisal of a chain started
+	EventVerdict    = Event(telemetry.StageVerdict)    // appraisal outcome with provenance
 
 	EventLedgerOpen  Event = "ledger_open"  // first record of every ledger
 	EventLedgerClose Event = "ledger_close" // orderly shutdown marker

@@ -2,6 +2,7 @@ package pera
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"pera/internal/evidence"
@@ -551,5 +552,47 @@ func TestResetStats(t *testing.T) {
 	s.ResetStats()
 	if s.Stats().Packets != 0 {
 		t.Fatal("reset failed")
+	}
+}
+
+// reconfiguringSigner flips its switch to Pointwise composition on its
+// first signature: a configuration change landing between two
+// obligations of one packet.
+type reconfiguringSigner struct {
+	evidence.Signer
+	s    *Switch
+	once sync.Once
+}
+
+func (r *reconfiguringSigner) Sign(msg []byte) []byte {
+	r.once.Do(func() {
+		cfg := r.s.Config()
+		cfg.Composition = evidence.Pointwise
+		r.s.SetConfig(cfg)
+	})
+	return r.Signer.Sign(msg)
+}
+
+// TestMidPacketConfigChangeKeepsChain checks that one packet is processed
+// under one configuration: a Composition flip while the first of two
+// obligations is being signed must not let the second obligation's
+// evidence overwrite the in-band chain the first one built.
+func TestMidPacketConfigChangeKeepsChain(t *testing.T) {
+	s := newSwitch(t, "sw1", Config{InBand: true, Composition: evidence.Chained})
+	s.SetSigner(&reconfiguringSigner{Signer: s.RoT(), s: s})
+	pol := &Policy{ID: 1, Nonce: []byte("flip"), Obls: []Obligation{
+		{Claims: []evidence.Detail{evidence.DetailProgram}, SignEvidence: true},
+		{Claims: []evidence.Detail{evidence.DetailTables}, SignEvidence: true},
+	}}
+	out, err := s.Receive(1, WrapFrame(pol, testFrame(t, s)))
+	if err != nil || len(out) != 1 {
+		t.Fatalf("receive: %d emissions, err %v", len(out), err)
+	}
+	hdr, _, err := Pop(out[0].Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(evidence.Measurements(hdr.Evidence)); n != 2 {
+		t.Fatalf("egress chain carries %d measurements, want 2 (out-of-band msgs: %d)", n, s.Stats().OutOfBandMsgs)
 	}
 }
