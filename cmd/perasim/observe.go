@@ -28,7 +28,7 @@ func runObserve() error {
 		Registry:    reg,
 		Tracer:      tracer,
 		Audit:       audit,
-		Recorder:    rec,
+		Recorder:    plane.Recorder,
 	}
 	switch attack {
 	case "none":
