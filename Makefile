@@ -65,7 +65,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # Allocation-budget guard (CI tier): run the end-to-end throughput
-# benchmark a few iterations and fail if allocs/op exceeds the
+# benchmark a few iterations and fail if allocs/op or B/op exceeds its
 # checked-in budget in bench_budget.txt. See docs/PERFORMANCE.md.
 bench-quick:
 	GO=$(GO) sh scripts/bench_quick.sh
@@ -82,10 +82,12 @@ bench-batch:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ed25519batch
 
 # Every native fuzz target for a short fixed time: the in-band header
-# parser, the RATS message codec, and batch and single verification
-# against crypto/ed25519. Each starts from its checked-in seed corpus.
+# parser, the two evidence decoders against each other, the RATS message
+# codec, and batch and single verification against crypto/ed25519. Each
+# starts from its checked-in seed corpus.
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime 10s ./internal/pera
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShared$$' -fuzztime 10s ./internal/evidence
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/rats
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsStdlib$$' -fuzztime 10s ./internal/ed25519batch
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyOneVsStdlib$$' -fuzztime 10s ./internal/ed25519batch

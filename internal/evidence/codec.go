@@ -84,38 +84,36 @@ func appendBytes(b, v []byte) []byte {
 }
 
 // Decode parses a canonical encoding back into a tree. It rejects trailing
-// bytes, oversized fields, and trees beyond maxNodes. Each field gets its
-// own copy of the input bytes; for the per-packet path prefer DecodeShared.
+// bytes, oversized fields, and trees beyond maxNodes. The nodes come from
+// one block sized to the tree and each field gets its own copy of the
+// input bytes; for the per-packet path prefer DecodeShared.
 func Decode(data []byte) (*Evidence, error) {
-	d := decoder{buf: data}
-	e, err := d.evidence()
-	if err != nil {
-		return nil, err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(data)-d.off)
-	}
-	return e, nil
+	return decodeAll(decoder{buf: data})
 }
 
 // DecodeShared parses a canonical encoding with shared backing storage:
 // the input is copied ONCE into a private slab, every decoded byte field
 // aliases that slab (capacity-clamped, so appending to a field reallocates
-// instead of clobbering a sibling), node structs come from chunked arenas,
-// and string fields go through a bounded intern table (measurer, place and
-// signer names recur on every packet of a flow). The result never aliases
-// data — callers may reuse or mutate their buffer freely — but the nodes
-// of one tree share storage: treat a DecodeShared tree as immutable, or
-// replace fields wholesale rather than writing into their byte slices.
+// instead of clobbering a sibling), the nodes come from one block sized to
+// the tree, and string fields go through a bounded intern table (measurer,
+// place and signer names recur on every packet of a flow). A decode is
+// thus two allocations, the slab and the node block, once the names are
+// interned. The result never aliases data — callers may reuse or mutate
+// their buffer freely — but the nodes of one tree share storage: treat a
+// DecodeShared tree as immutable, or replace fields wholesale rather than
+// writing into their byte slices.
 func DecodeShared(data []byte) (*Evidence, error) {
 	slab := append([]byte(nil), data...)
-	d := decoder{buf: slab, shared: true}
-	e, err := d.evidence()
+	return decodeAll(decoder{buf: slab, shared: true})
+}
+
+func decodeAll(d decoder) (*Evidence, error) {
+	e, err := d.tree()
 	if err != nil {
 		return nil, err
 	}
-	if d.off != len(slab) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(slab)-d.off)
+	if d.off != len(d.buf) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(d.buf)-d.off)
 	}
 	return e, nil
 }
@@ -162,106 +160,93 @@ func internString(b []byte) string {
 // headers carrying evidence followed by payload).
 func DecodePrefix(data []byte) (*Evidence, int, error) {
 	d := decoder{buf: data}
-	e, err := d.evidence()
+	e, err := d.tree()
 	if err != nil {
 		return nil, 0, err
 	}
 	return e, d.off, nil
 }
 
+// decoder reads one preorder encoding in two passes over buf: count
+// checks it and sizes the node block, then evidence builds the tree into
+// that block. In shared mode (DecodeShared) fields alias buf and strings
+// are interned; otherwise both are copied out.
 type decoder struct {
-	buf   []byte
-	off   int
-	nodes int
-
-	// shared-mode state (DecodeShared): fields alias buf, nodes come from
-	// arena chunks, strings are interned.
+	buf    []byte
+	off    int
 	shared bool
-	arena  []Evidence
+	block  []Evidence // nodes not yet handed out by evidence
 }
 
-// arenaChunk sizes the node arena: typical per-packet chains are a few
-// dozen nodes, so one chunk covers a whole decode.
-const arenaChunk = 32
-
-func (d *decoder) node(k Kind) *Evidence {
-	if !d.shared {
-		return &Evidence{Kind: k}
-	}
-	if len(d.arena) == 0 {
-		d.arena = make([]Evidence, arenaChunk)
-	}
-	e := &d.arena[0]
-	d.arena = d.arena[1:]
-	e.Kind = k
-	return e
-}
-
-func (d *decoder) evidence() (*Evidence, error) {
-	d.nodes++
-	if d.nodes > maxNodes {
-		return nil, fmt.Errorf("%w: tree exceeds %d nodes", ErrDecode, maxNodes)
-	}
-	k, err := d.byte()
+// tree decodes the tree at the front of buf and leaves d.off just past it.
+func (d *decoder) tree() (*Evidence, error) {
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	e := d.node(Kind(k))
-	switch e.Kind {
-	case KindEmpty:
-	case KindNonce:
-		if e.Nonce, err = d.bytes(); err != nil {
-			return nil, err
+	d.off = 0
+	d.block = make([]Evidence, n)
+	return d.evidence(), nil
+}
+
+// count is the first pass: it walks the tree at the front of buf without
+// allocating and returns its node count. It checks everything the build pass takes
+// on trust, in encoding order, so malformed input fails here and with the
+// first error a reader meets. The walk is iterative (pending counts the
+// children announced but not yet read), and every node takes at least one
+// byte, so the count is bounded by the bytes present as well as maxNodes.
+func (d *decoder) count() (int, error) {
+	nodes := 0
+	for pending := 1; pending > 0; pending-- {
+		if nodes++; nodes > maxNodes {
+			return 0, fmt.Errorf("%w: tree exceeds %d nodes", ErrDecode, maxNodes)
 		}
-	case KindMeasurement:
-		if e.Measurer, err = d.string(); err != nil {
-			return nil, err
-		}
-		if e.Target, err = d.string(); err != nil {
-			return nil, err
-		}
-		if e.Place, err = d.string(); err != nil {
-			return nil, err
-		}
-		db, err := d.byte()
+		k, err := d.byte()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		e.Detail = Detail(db)
-		if !e.Detail.Valid() {
-			return nil, fmt.Errorf("%w: invalid detail %d", ErrDecode, db)
+		switch Kind(k) {
+		case KindEmpty:
+		case KindNonce:
+			err = d.skipField()
+		case KindMeasurement:
+			err = d.skipMeasurement()
+		case KindHash:
+			err = d.skipDigest()
+		case KindSig:
+			if err = d.skipField(); err == nil {
+				err = d.skipField()
+			}
+			pending++
+		case KindSeq, KindPar:
+			pending += 2
+		default:
+			return 0, fmt.Errorf("%w: unknown kind %d", ErrDecode, k)
 		}
-		if err := d.digest(&e.Value); err != nil {
-			return nil, err
+		if err != nil {
+			return 0, err
 		}
-		if e.Claims, err = d.bytes(); err != nil {
-			return nil, err
-		}
-	case KindHash:
-		if err := d.digest(&e.Digest); err != nil {
-			return nil, err
-		}
-	case KindSig:
-		if e.Signer, err = d.string(); err != nil {
-			return nil, err
-		}
-		if e.Signature, err = d.bytes(); err != nil {
-			return nil, err
-		}
-		if e.Left, err = d.evidence(); err != nil {
-			return nil, err
-		}
-	case KindSeq, KindPar:
-		if e.Left, err = d.evidence(); err != nil {
-			return nil, err
-		}
-		if e.Right, err = d.evidence(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrDecode, k)
 	}
-	return e, nil
+	return nodes, nil
+}
+
+func (d *decoder) skipMeasurement() error {
+	for range 3 { // measurer, target, place
+		if err := d.skipField(); err != nil {
+			return err
+		}
+	}
+	db, err := d.byte()
+	if err != nil {
+		return err
+	}
+	if !Detail(db).Valid() {
+		return fmt.Errorf("%w: invalid detail %d", ErrDecode, db)
+	}
+	if err := d.skipDigest(); err != nil {
+		return err
+	}
+	return d.skipField() // claims
 }
 
 func (d *decoder) byte() (byte, error) {
@@ -273,48 +258,89 @@ func (d *decoder) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *decoder) digest(out *rot.Digest) error {
+func (d *decoder) skipDigest() error {
 	if d.off+rot.DigestSize > len(d.buf) {
 		return fmt.Errorf("%w: truncated digest", ErrDecode)
 	}
-	copy(out[:], d.buf[d.off:d.off+rot.DigestSize])
 	d.off += rot.DigestSize
 	return nil
 }
 
-func (d *decoder) bytes() ([]byte, error) {
+func (d *decoder) skipField() error {
 	if d.off+4 > len(d.buf) {
-		return nil, fmt.Errorf("%w: truncated length", ErrDecode)
+		return fmt.Errorf("%w: truncated length", ErrDecode)
 	}
 	n := binary.BigEndian.Uint32(d.buf[d.off:])
 	d.off += 4
 	if n > maxFieldLen {
-		return nil, fmt.Errorf("%w: field of %d bytes exceeds limit", ErrDecode, n)
+		return fmt.Errorf("%w: field of %d bytes exceeds limit", ErrDecode, n)
 	}
 	if d.off+int(n) > len(d.buf) {
-		return nil, fmt.Errorf("%w: truncated field", ErrDecode)
-	}
-	var v []byte
-	if n > 0 {
-		if d.shared {
-			v = d.buf[d.off : d.off+int(n) : d.off+int(n)]
-		} else {
-			v = append([]byte(nil), d.buf[d.off:d.off+int(n)]...)
-		}
+		return fmt.Errorf("%w: truncated field", ErrDecode)
 	}
 	d.off += int(n)
-	return v, nil
+	return nil
 }
 
-func (d *decoder) string() (string, error) {
-	b, err := d.bytes()
-	if err != nil {
-		return "", err
+// evidence is the build pass over a tree count has accepted: its reads
+// are unchecked and each node is the next one of d.block, which count
+// sized exactly.
+func (d *decoder) evidence() *Evidence {
+	e := &d.block[0]
+	d.block = d.block[1:]
+	e.Kind = Kind(d.buf[d.off])
+	d.off++
+	switch e.Kind {
+	case KindNonce:
+		e.Nonce = d.bytes()
+	case KindMeasurement:
+		e.Measurer = d.string()
+		e.Target = d.string()
+		e.Place = d.string()
+		e.Detail = Detail(d.buf[d.off])
+		d.off++
+		d.digest(&e.Value)
+		e.Claims = d.bytes()
+	case KindHash:
+		d.digest(&e.Digest)
+	case KindSig:
+		e.Signer = d.string()
+		e.Signature = d.bytes()
+		e.Left = d.evidence()
+	case KindSeq, KindPar:
+		e.Left = d.evidence()
+		e.Right = d.evidence()
 	}
+	return e
+}
+
+func (d *decoder) digest(out *rot.Digest) {
+	d.off += copy(out[:], d.buf[d.off:d.off+rot.DigestSize])
+}
+
+// field returns the next length-prefixed field as a capacity-clamped
+// sub-slice of buf, nil when empty.
+func (d *decoder) field() []byte {
+	n := int(binary.BigEndian.Uint32(d.buf[d.off:]))
+	d.off += 4 + n
+	if n == 0 {
+		return nil
+	}
+	return d.buf[d.off-n : d.off : d.off]
+}
+
+func (d *decoder) bytes() []byte {
 	if d.shared {
-		return internString(b), nil
+		return d.field()
 	}
-	return string(b), nil
+	return append([]byte(nil), d.field()...)
+}
+
+func (d *decoder) string() string {
+	if d.shared {
+		return internString(d.field())
+	}
+	return string(d.field())
 }
 
 // EncodedSize returns len(Encode(e)) without building the encoding, used

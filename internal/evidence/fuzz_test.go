@@ -1,7 +1,9 @@
 package evidence
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -71,4 +73,33 @@ func TestDecodeDeepNesting(t *testing.T) {
 	if _, err := Decode(data); err == nil {
 		t.Fatal("over-deep tree decoded")
 	}
+}
+
+// FuzzDecodeShared is the oracle for the two decoders. On any input the
+// zero-copy DecodeShared and the copying Decode both fail with the same
+// error or both succeed with deep-equal trees; an accepted input
+// re-encodes to itself (the encoding is canonical); and the counting pass
+// sized the node block to exactly the tree it accepted. The seed corpus
+// is testdata/fuzz/FuzzDecodeShared.
+func FuzzDecodeShared(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := Decode(data)
+		got, gerr := DecodeShared(data)
+		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+			t.Fatalf("Decode err %v, DecodeShared err %v", werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("Decode and DecodeShared trees differ:\n %s\n %s", want, got)
+		}
+		if enc := Encode(got); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted input re-encodes differently:\n in  %x\n out %x", data, enc)
+		}
+		d := decoder{buf: data}
+		if n, err := d.count(); err != nil || n != nodeCount(got) || d.off != len(data) {
+			t.Fatalf("count = %d, %v over %d of %d bytes; tree has %d nodes", n, err, d.off, len(data), nodeCount(got))
+		}
+	})
 }

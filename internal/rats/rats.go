@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"pera/internal/telemetry"
 )
@@ -459,9 +460,13 @@ func ListenAndServe(addr string, h Handler) (net.Listener, error) {
 	return ln, nil
 }
 
+// dialer bounds the TCP connect in Dial, so an unreachable attester or
+// appraiser fails the round instead of waiting out the OS connect timeout.
+var dialer = net.Dialer{Timeout: 10 * time.Second}
+
 // Dial connects to a rats TCP endpoint.
 func Dial(addr string) (*Conn, error) {
-	c, err := net.Dial("tcp", addr)
+	c, err := dialer.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}

@@ -190,6 +190,14 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// TestDialTimeout: Dial bounds its connect, so an unreachable peer fails
+// the round instead of hanging on the OS connect timeout.
+func TestDialTimeout(t *testing.T) {
+	if dialer.Timeout <= 0 {
+		t.Fatalf("Dial has no connect timeout (dialer.Timeout = %v)", dialer.Timeout)
+	}
+}
+
 func TestWriteTooLarge(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -224,6 +225,10 @@ func Handler(reg *Registry, tracer *FlowTracer, extras ...Endpoint) http.Handler
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or half-open peer cannot hold a connection forever.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is a live telemetry endpoint.
 type Server struct {
 	ln  net.Listener
@@ -238,7 +243,10 @@ func Serve(addr string, reg *Registry, tracer *FlowTracer, extras ...Endpoint) (
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(reg, tracer, extras...)}}
+	s := &Server{ln: ln, srv: &http.Server{
+		Handler:           Handler(reg, tracer, extras...),
+		ReadHeaderTimeout: readHeaderTimeout,
+	}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

@@ -187,6 +187,20 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestServeReadHeaderTimeout: the endpoint bounds how long a client may
+// take over its request headers, so a slow-loris peer cannot pin a
+// connection.
+func TestServeReadHeaderTimeout(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := srv.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+}
+
 func TestServeNoTracer(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
