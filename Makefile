@@ -82,11 +82,13 @@ bench-batch:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ed25519batch
 
 # Every native fuzz target for a short fixed time: the in-band header
-# parser, the two evidence decoders against each other, the RATS message
-# codec, and batch and single verification against crypto/ed25519. Each
-# starts from its checked-in seed corpus.
+# parser, the PISA pipeline against its map-based reference, the two
+# evidence decoders against each other, the RATS message codec, and batch
+# and single verification against crypto/ed25519. Each starts from its
+# checked-in seed corpus.
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime 10s ./internal/pera
+	$(GO) test -run '^$$' -fuzz '^FuzzProcess$$' -fuzztime 10s ./internal/pisa
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShared$$' -fuzztime 10s ./internal/evidence
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/rats
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchVsStdlib$$' -fuzztime 10s ./internal/ed25519batch

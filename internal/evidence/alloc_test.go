@@ -175,3 +175,25 @@ func nodeCount(e *Evidence) int {
 	}
 	return 1 + nodeCount(e.Left) + nodeCount(e.Right)
 }
+
+// TestMemoHitZeroAlloc pins the memo's read path: once a triple is
+// memoized, Verify (a hit), Known and a repeated Seed build the key and
+// look it up without allocating.
+func TestMemoHitZeroAlloc(t *testing.T) {
+	_, r := allocEvidence(t)
+	msg := []byte("memoized message")
+	pub, sig := r.Public(), r.Sign(msg)
+	m := NewVerifyMemo(0)
+	if !m.Verify(pub, msg, sig) {
+		t.Fatal("valid signature rejected")
+	}
+	for name, f := range map[string]func(){
+		"Verify hit": func() { m.Verify(pub, msg, sig) },
+		"Known":      func() { m.Known(pub, msg, sig) },
+		"Seed":       func() { m.Seed(pub, msg, sig, true, "") },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocated %.1f/op, want 0", name, allocs)
+		}
+	}
+}

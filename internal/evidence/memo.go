@@ -95,11 +95,13 @@ func NewVerifyMemo(capacity int) *VerifyMemo {
 // pool every memo lookup — hit or miss — would allocate.
 var memoHashPool = sync.Pool{New: func() any { return &memoHasher{h: sha256.New()} }}
 
-// memoHasher pairs a hasher with a sum buffer so key computation stays
-// allocation-free: summing into a stack array forces it to escape, while
-// the pooled buffer is already on the heap.
+// memoHasher pairs a hasher with its scratch bytes so key computation
+// stays allocation-free: a stack array written or summed through the
+// hash.Hash interface escapes, while the pooled buffers are already on
+// the heap.
 type memoHasher struct {
 	h   hash.Hash
+	lp  [4]byte // a field's length prefix
 	sum [sha256.Size]byte
 }
 
@@ -109,12 +111,11 @@ func memoKeyOf(pub ed25519.PublicKey, message, sig []byte) memoKey {
 	mh := memoHashPool.Get().(*memoHasher)
 	h := mh.h
 	h.Reset()
-	var lp [4]byte
-	binary.BigEndian.PutUint32(lp[:], uint32(len(pub)))
-	h.Write(lp[:])
+	binary.BigEndian.PutUint32(mh.lp[:], uint32(len(pub)))
+	h.Write(mh.lp[:])
 	h.Write(pub)
-	binary.BigEndian.PutUint32(lp[:], uint32(len(sig)))
-	h.Write(lp[:])
+	binary.BigEndian.PutUint32(mh.lp[:], uint32(len(sig)))
+	h.Write(mh.lp[:])
 	h.Write(sig)
 	h.Write(message)
 	var k memoKey

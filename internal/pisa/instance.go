@@ -20,13 +20,7 @@ import (
 // packets, and PERA attests its digests.
 type Instance struct {
 	prog *p4ir.Program
-
-	// qnames maps each header type to its fields' qualified names
-	// ("eth.dst"), precomputed at Load so the per-packet parser never
-	// concatenates strings. fieldHint sizes each packet's field map: the
-	// program's total declared fields plus room for metadata.
-	qnames    map[string][]string
-	fieldHint int
+	lay  *layout // the program's header vector and resolved pipeline
 
 	parsedN atomic.Uint64 // packets parsed, for stats
 
@@ -34,15 +28,18 @@ type Instance struct {
 	// installs are control-plane rare, digest reads are per-attestation.
 	tablesDigest atomic.Pointer[rot.Digest]
 
-	mu     sync.RWMutex
-	tables map[string]*tableState
-	regs   map[string][]uint64
-	counts map[string][]uint64
+	mu      sync.RWMutex
+	tables  map[string]*tableState
+	ingress []*tableState // in application order
+	egress  []*tableState
+	regs    map[string][]uint64
+	counts  map[string][]uint64
 }
 
 type tableState struct {
-	decl    *p4ir.Table
+	code    *tableCode
 	entries []p4ir.Entry
+	bound   []boundAction // entries[i]'s action, resolved at install
 }
 
 // Errors from instance operations.
@@ -53,81 +50,30 @@ var (
 	ErrUnknownAction = errors.New("pisa: unknown action")
 )
 
-// progMeta is the load-time metadata derived from an immutable Program:
-// validation outcome and the precomputed qualified field names. Several
-// instances routinely load the same shared *Program (every forwarding
-// switch in a testbed), so the derivation is cached per program pointer.
-type progMeta struct {
-	qnames    map[string][]string
-	fieldHint int
-}
-
-var (
-	progMetaMu sync.Mutex
-	progMetas  = map[*p4ir.Program]*progMeta{}
-)
-
-const progMetaCap = 64
-
-// metaFor validates prog and returns its cached load metadata. Programs
-// are treated as immutable after construction (nothing in the repo
-// mutates a Program once built), so both the validation verdict and the
-// derived name tables are safe to reuse for the program's lifetime.
-func metaFor(prog *p4ir.Program) (*progMeta, error) {
-	progMetaMu.Lock()
-	m, ok := progMetas[prog]
-	progMetaMu.Unlock()
-	if ok {
-		return m, nil
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	m = &progMeta{qnames: make(map[string][]string, len(prog.Headers))}
-	nfields := 0
-	for _, h := range prog.Headers {
-		qn := make([]string, len(h.Fields))
-		for i, f := range h.Fields {
-			qn[i] = p4ir.QName(h.Name, f.Name)
-		}
-		m.qnames[h.Name] = qn
-		nfields += len(h.Fields)
-	}
-	m.fieldHint = nfields + 8 // declared fields + metadata slots
-	progMetaMu.Lock()
-	if ex, ok := progMetas[prog]; ok {
-		m = ex
-	} else {
-		if len(progMetas) >= progMetaCap {
-			progMetas = make(map[*p4ir.Program]*progMeta, progMetaCap)
-		}
-		progMetas[prog] = m
-	}
-	progMetaMu.Unlock()
-	return m, nil
-}
-
 // Load validates prog and returns a fresh instance with empty tables and
 // zeroed registers.
 func Load(prog *p4ir.Program) (*Instance, error) {
-	meta, err := metaFor(prog)
+	lay, err := layoutFor(prog)
 	if err != nil {
 		return nil, err
 	}
 	in := &Instance{
-		prog:      prog,
-		qnames:    meta.qnames,
-		fieldHint: meta.fieldHint,
-		tables:    make(map[string]*tableState, len(prog.Ingress)+len(prog.Egress)),
-		regs:      make(map[string][]uint64, len(prog.Registers)),
-		counts:    make(map[string][]uint64, len(prog.Registers)),
+		prog:   prog,
+		lay:    lay,
+		tables: make(map[string]*tableState, len(lay.ingress)+len(lay.egress)),
+		regs:   make(map[string][]uint64, len(prog.Registers)),
+		counts: make(map[string][]uint64, len(prog.Registers)),
 	}
-	for _, t := range prog.Ingress {
-		in.tables[t.Name] = &tableState{decl: t}
+	states := func(codes []*tableCode) []*tableState {
+		out := make([]*tableState, len(codes))
+		for i, tc := range codes {
+			out[i] = &tableState{code: tc}
+			in.tables[tc.decl.Name] = out[i]
+		}
+		return out
 	}
-	for _, t := range prog.Egress {
-		in.tables[t.Name] = &tableState{decl: t}
-	}
+	in.ingress = states(lay.ingress)
+	in.egress = states(lay.egress)
 	for _, r := range prog.Registers {
 		in.regs[r.Name] = make([]uint64, r.Size)
 		in.counts[r.Name] = make([]uint64, r.Size)
@@ -146,19 +92,21 @@ func (in *Instance) InstallEntry(table string, e p4ir.Entry) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	if len(e.Matches) != len(ts.decl.Keys) {
-		return fmt.Errorf("%w: %d matches for %d keys", ErrBadEntry, len(e.Matches), len(ts.decl.Keys))
+	decl := ts.code.decl
+	if len(e.Matches) != len(decl.Keys) {
+		return fmt.Errorf("%w: %d matches for %d keys", ErrBadEntry, len(e.Matches), len(decl.Keys))
 	}
-	if ts.decl.MaxEntries > 0 && len(ts.entries) >= ts.decl.MaxEntries {
+	if decl.MaxEntries > 0 && len(ts.entries) >= decl.MaxEntries {
 		return fmt.Errorf("%w: %q at %d entries", ErrTableFull, table, len(ts.entries))
 	}
-	if !actionPermitted(ts.decl, e.Action) {
+	if !actionPermitted(decl, e.Action) {
 		return fmt.Errorf("%w: %q not permitted in table %q", ErrUnknownAction, e.Action, table)
 	}
-	if _, ok := in.prog.Action(e.Action); !ok {
+	if _, ok := in.lay.actions[e.Action]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAction, e.Action)
 	}
 	ts.entries = append(ts.entries, e)
+	ts.bound = append(ts.bound, in.lay.bind(e.Action, e.Params))
 	in.tablesDigest.Store(nil)
 	return nil
 }
@@ -183,7 +131,7 @@ func (in *Instance) ClearTable(table string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	ts.entries = nil
+	ts.entries, ts.bound = nil, nil
 	in.tablesDigest.Store(nil)
 	return nil
 }
@@ -199,15 +147,17 @@ func (in *Instance) Entries(table string) ([]p4ir.Entry, error) {
 	return append([]p4ir.Entry(nil), ts.entries...), nil
 }
 
-// lookup finds the best-matching entry for the current packet field
-// values. Selection: all keys must match; among matching entries the one
-// with the highest (priority, total LPM prefix length) wins; ties go to
-// the earliest installed.
-func (in *Instance) lookup(ts *tableState, pkt *Packet) (p4ir.Entry, bool) {
+// match returns the index of the best-matching entry for the current
+// packet field values, or -1. Selection: all keys must match; among
+// matching entries the one with the highest (priority, total LPM prefix
+// length) wins; ties go to the earliest installed. pkt must be bound to
+// the table's layout.
+func match(ts *tableState, pkt *Packet) int {
 	bestIdx := -1
 	bestPrio, bestPfx := 0, -1
-	for i, e := range ts.entries {
-		pfx, ok := entryMatches(ts.decl, e, pkt)
+	for i := range ts.entries {
+		e := &ts.entries[i]
+		pfx, ok := entryMatches(ts.code.keys, e, pkt)
 		if !ok {
 			continue
 		}
@@ -215,26 +165,23 @@ func (in *Instance) lookup(ts *tableState, pkt *Packet) (p4ir.Entry, bool) {
 			bestIdx, bestPrio, bestPfx = i, e.Priority, pfx
 		}
 	}
-	if bestIdx < 0 {
-		return p4ir.Entry{}, false
-	}
-	return ts.entries[bestIdx], true
+	return bestIdx
 }
 
 // entryMatches checks e against pkt, returning the total prefix length
 // used for LPM tie-breaking.
-func entryMatches(decl *p4ir.Table, e p4ir.Entry, pkt *Packet) (int, bool) {
+func entryMatches(keys []keyCode, e *p4ir.Entry, pkt *Packet) (int, bool) {
 	pfxTotal := 0
-	for i, k := range decl.Keys {
-		v := pkt.Get(k.Field)
+	for i, k := range keys {
+		v := pkt.vals[k.slot]
 		m := e.Matches[i]
-		switch k.Kind {
+		switch k.kind {
 		case p4ir.MatchExact:
 			if v != m.Value {
 				return 0, false
 			}
 		case p4ir.MatchLPM:
-			bits := k.Bits
+			bits := k.bits
 			if bits == 0 {
 				bits = 64
 			}

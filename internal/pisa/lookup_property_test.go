@@ -13,8 +13,8 @@ import (
 
 // refLookup is a deliberately naive re-implementation of the selection
 // rule: all keys must match; highest priority wins, then longest total
-// prefix, then earliest installed.
-func refLookup(decl *p4ir.Table, entries []p4ir.Entry, pkt *Packet) (p4ir.Entry, bool) {
+// prefix, then earliest installed. The reference pipeline runs it too.
+func refLookup(decl *p4ir.Table, entries []p4ir.Entry, pkt interface{ Get(string) uint64 }) (p4ir.Entry, bool) {
 	best := -1
 	bestPrio, bestPfx := 0, -1
 	for i, e := range entries {

@@ -31,80 +31,67 @@ type Output struct {
 	Mirror bool // true if this output came from a mirror/clone
 }
 
-// Parse runs the parser state machine over pkt.Data, populating
-// pkt.Fields. The first declared state is the start state.
+// Parse runs the parser state machine over pkt.Data, populating the
+// packet's fields. The first declared state is the start state.
 func (in *Instance) Parse(pkt *Packet) error {
-	if len(in.prog.Parser) == 0 {
+	lay := in.lay
+	if len(lay.states) == 0 {
 		return ErrNoParserStart
 	}
+	pkt.bind(lay)
 	r := bitReader{data: pkt.Data}
-	state := in.prog.Parser[0]
+	st := &lay.states[0]
 	for steps := 0; steps < maxParserSteps; steps++ {
-		if state.Extract != "" {
-			hdr, _ := in.prog.Header(state.Extract)
-			qnames := in.qnames[hdr.Name]
-			for i, f := range hdr.Fields {
-				v, err := r.read(f.Bits)
+		if h := st.hdr; h != nil {
+			for _, f := range h.fields {
+				v, err := r.read(f.bits)
 				if err != nil {
-					return fmt.Errorf("extracting %s.%s: %w", hdr.Name, f.Name, err)
+					return fmt.Errorf("extracting %s: %w", f.qname, err)
 				}
-				pkt.Fields[qnames[i]] = v
+				pkt.set(f.slot, v)
 			}
-			pkt.extracted = append(pkt.extracted, hdr.Name)
+			pkt.extracted = append(pkt.extracted, h)
 		}
-		next := state.Default
-		if state.SelectField != "" {
-			v := pkt.Get(state.SelectField)
-			for _, tr := range state.Transitions {
-				if tr.Value == v {
-					next = tr.Next
+		next := st.def
+		if st.sel >= 0 {
+			v := pkt.vals[st.sel]
+			for _, tr := range st.trans {
+				if tr.value == v {
+					next = tr.next
 					break
 				}
 			}
 		}
 		switch next {
-		case p4ir.StateAccept:
+		case nextAccept:
 			pkt.payloadOff = r.off
 			in.parsedN.Add(1)
 			return nil
-		case p4ir.StateReject:
+		case nextReject:
 			return ErrParseReject
 		}
-		ns, ok := in.prog.State(next)
-		if !ok {
-			return fmt.Errorf("pisa: parser transition to unknown state %q", next)
-		}
-		state = ns
+		st = &lay.states[next]
 	}
 	return fmt.Errorf("pisa: parser exceeded %d steps", maxParserSteps)
 }
 
-// applyTables runs a pipeline of tables in order. Processing stops early
-// if the packet is dropped.
-func (in *Instance) applyTables(tables []*p4ir.Table, pkt *Packet) error {
-	for _, decl := range tables {
+// applyTables runs a pipeline of tables in order over a packet bound to
+// the instance's layout. Processing stops early if the packet is dropped.
+func (in *Instance) applyTables(tables []*tableState, pkt *Packet) error {
+	for _, ts := range tables {
 		if pkt.Dropped() {
 			return nil
 		}
 		in.mu.RLock()
-		ts := in.tables[decl.Name]
-		entry, hit := in.lookup(ts, pkt)
-		in.mu.RUnlock()
-		var actName string
-		var params map[string]uint64
-		if hit {
-			actName, params = entry.Action, entry.Params
-		} else {
-			actName, params = decl.DefaultAction, decl.DefaultParams
+		act := ts.code.miss
+		if i := match(ts, pkt); i >= 0 {
+			act = ts.bound[i]
 		}
-		if actName == "" {
+		in.mu.RUnlock()
+		if act.act == nil {
 			continue // no default: table miss is a no-op
 		}
-		act, ok := in.prog.Action(actName)
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownAction, actName)
-		}
-		if err := in.execAction(act, params, pkt); err != nil {
+		if err := in.execAction(act, pkt); err != nil {
 			return err
 		}
 	}
@@ -112,37 +99,27 @@ func (in *Instance) applyTables(tables []*p4ir.Table, pkt *Packet) error {
 }
 
 // execAction runs an action's operations against the packet.
-func (in *Instance) execAction(act *p4ir.Action, params map[string]uint64, pkt *Packet) error {
-	eval := func(v p4ir.Val) uint64 {
-		switch v.Kind {
-		case p4ir.ValConst:
-			return v.Const
-		case p4ir.ValField:
-			return pkt.Get(v.Name)
-		case p4ir.ValParam:
-			return params[v.Name]
-		default:
-			return 0
-		}
-	}
-	for _, op := range act.Ops {
-		switch op.Kind {
+func (in *Instance) execAction(b boundAction, pkt *Packet) error {
+	params := b.params
+	for i := range b.act.ops {
+		op := &b.act.ops[i]
+		switch op.kind {
 		case p4ir.OpSet:
-			pkt.Set(op.Dst, in.maskToWidth(op.Dst, eval(op.Src)))
+			pkt.set(op.dst, op.src.eval(pkt, params)&op.width)
 		case p4ir.OpAdd:
-			pkt.Set(op.Dst, in.maskToWidth(op.Dst, pkt.Get(op.Dst)+eval(op.Src)))
+			pkt.set(op.dst, (pkt.vals[op.dst]+op.src.eval(pkt, params))&op.width)
 		case p4ir.OpForward:
-			pkt.Set(p4ir.MetaEgressPort, eval(op.Src))
+			pkt.set(slotEgressPort, op.src.eval(pkt, params))
 		case p4ir.OpDrop:
-			pkt.Set(p4ir.MetaDrop, 1)
+			pkt.set(slotDrop, 1)
 		case p4ir.OpRegWrite:
-			in.RegWrite(op.Reg, eval(op.Index), eval(op.Src))
+			in.RegWrite(op.reg, op.index.eval(pkt, params), op.src.eval(pkt, params))
 		case p4ir.OpRegRead:
-			pkt.Set(op.Dst, in.RegRead(op.Reg, eval(op.Index)))
+			pkt.set(op.dst, in.RegRead(op.reg, op.index.eval(pkt, params)))
 		case p4ir.OpCount:
-			in.count(op.Reg, eval(op.Index))
+			in.count(op.reg, op.index.eval(pkt, params))
 		default:
-			return fmt.Errorf("pisa: unknown op %v", op.Kind)
+			return fmt.Errorf("pisa: unknown op %v", op.kind)
 		}
 	}
 	return nil
@@ -157,48 +134,17 @@ func (in *Instance) count(reg string, idx uint64) {
 	}
 }
 
-// maskToWidth truncates a value to the declared width of a header field;
-// metadata fields are full 64-bit.
-func (in *Instance) maskToWidth(qname string, v uint64) uint64 {
-	hdrName, fieldName, ok := splitQName(qname)
-	if !ok || hdrName == "meta" {
-		return v
-	}
-	hdr, ok := in.prog.Header(hdrName)
-	if !ok {
-		return v
-	}
-	f, ok := hdr.Field(fieldName)
-	if !ok {
-		return v
-	}
-	return v & mask(f.Bits)
-}
-
-func splitQName(qname string) (hdr, field string, ok bool) {
-	for i := 0; i < len(qname); i++ {
-		if qname[i] == '.' {
-			return qname[:i], qname[i+1:], true
-		}
-	}
-	return "", "", false
-}
-
 // Deparse re-serializes the packet: extracted headers (with any field
 // modifications) followed by the original payload.
 func (in *Instance) Deparse(pkt *Packet) []byte {
+	pkt.bind(in.lay)
 	// Pre-size for headers + payload so the serialization is one exact
 	// allocation: headers re-occupy their parsed width (payloadOff bits).
 	payload := pkt.Payload()
 	w := bitWriter{data: make([]byte, 0, (pkt.payloadOff+7)/8+len(payload))}
-	for _, hname := range pkt.extracted {
-		hdr, ok := in.prog.Header(hname)
-		if !ok {
-			continue
-		}
-		qnames := in.qnames[hdr.Name]
-		for i, f := range hdr.Fields {
-			w.write(pkt.Get(qnames[i]), f.Bits)
+	for _, h := range pkt.extracted {
+		for _, f := range h.fields {
+			w.write(pkt.vals[f.slot], f.bits)
 		}
 	}
 	return append(w.data, payload...)
@@ -209,20 +155,20 @@ func (in *Instance) Deparse(pkt *Packet) []byte {
 // program mirrors). A parse reject or a drop yields no outputs and no
 // error; substrate errors (unknown actions, etc.) are returned.
 func (in *Instance) Process(data []byte, ingressPort uint64) ([]Output, error) {
-	pkt := newPacketSized(data, ingressPort, in.fieldHint)
+	pkt := newPacket(in.lay, data, ingressPort)
 	if err := in.Parse(pkt); err != nil {
 		if errors.Is(err, ErrParseReject) || errors.Is(err, ErrTruncated) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	if err := in.applyTables(in.prog.Ingress, pkt); err != nil {
+	if err := in.applyTables(in.ingress, pkt); err != nil {
 		return nil, err
 	}
 	if pkt.Dropped() {
 		return nil, nil
 	}
-	if err := in.applyTables(in.prog.Egress, pkt); err != nil {
+	if err := in.applyTables(in.egress, pkt); err != nil {
 		return nil, err
 	}
 	if pkt.Dropped() {
@@ -232,9 +178,9 @@ func (in *Instance) Process(data []byte, ingressPort uint64) ([]Output, error) {
 	outs := []Output{{Port: pkt.EgressPort(), Packet: pkt}}
 	// Mirroring convention: programs set meta.mirrored=1 and
 	// meta.mirror_port to clone the frame (see p4ir.NewRogueForwarding).
-	if pkt.Get("meta.mirrored") != 0 {
+	if pkt.vals[slotMirrored] != 0 {
 		cl := pkt.Clone()
-		cl.Set(p4ir.MetaEgressPort, pkt.Get("meta.mirror_port"))
+		cl.set(slotEgressPort, pkt.vals[slotMirrorPort])
 		outs = append(outs, Output{Port: cl.EgressPort(), Packet: cl, Mirror: true})
 	}
 	return outs, nil

@@ -176,15 +176,38 @@ var (
 )
 
 // Encode serializes m to its wire form (excluding the outer length
-// frame, which WriteMessage adds).
+// frame, which Conn.Write adds).
 func Encode(m *Message) []byte {
-	var b []byte
+	return appendMessage(make([]byte, 0, encodedLen(m)), m)
+}
+
+// encodedLen is the exact length of m's wire form.
+func encodedLen(m *Message) int {
+	n := 1 + 8 + 4 + len(m.Nonce) + 4
+	for _, c := range m.Claims {
+		n += 4 + len(c)
+	}
+	n += 4 + len(m.Body)
+	if m.Trace != nil {
+		n += 1 + 4 + traceWireLen
+	}
+	for _, e := range m.Ext {
+		if e.Tag != extTagTrace {
+			n += 1 + 4 + len(e.Value)
+		}
+	}
+	return n
+}
+
+// appendMessage appends m's wire form to b.
+func appendMessage(b []byte, m *Message) []byte {
 	b = append(b, byte(m.Type))
 	b = binary.BigEndian.AppendUint64(b, m.Session)
 	b = appendLV(b, m.Nonce)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Claims)))
 	for _, c := range m.Claims {
-		b = appendLV(b, []byte(c))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(c)))
+		b = append(b, c...)
 	}
 	b = appendLV(b, m.Body)
 	if m.Trace != nil {
@@ -324,6 +347,8 @@ type Conn struct {
 	w   io.Writer
 	c   io.Closer
 
+	rhdr [4]byte // Read's length frame, under rmu
+
 	tracer *telemetry.FlowTracer // optional: auto-inject trace context
 }
 
@@ -340,23 +365,22 @@ func NewConn(rw io.ReadWriter) *Conn {
 // before the Conn is shared between goroutines.
 func (c *Conn) SetTracer(tr *telemetry.FlowTracer) { c.tracer = tr }
 
-// Write sends one message.
+// Write sends one message: its length frame and encoding go out in one
+// exact-size buffer and one write, so the peer never wakes on a bare
+// length and the stream sees one segment where it can.
 func (c *Conn) Write(m *Message) error {
 	if c.tracer != nil && m.Trace == nil && len(m.Nonce) > 0 {
 		m.SetContext(c.tracer.NewContext(FlowID(m.Nonce)))
 	}
-	data := Encode(m)
-	if len(data) > MaxMessageSize {
+	n := encodedLen(m)
+	if n > MaxMessageSize {
 		return ErrMessageTooLarge
 	}
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+n), uint32(n))
+	buf = appendMessage(buf, m)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.w.Write(data)
+	_, err := c.w.Write(buf)
 	return err
 }
 
@@ -364,11 +388,10 @@ func (c *Conn) Write(m *Message) error {
 func (c *Conn) Read() (*Message, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n > MaxMessageSize {
 		return nil, ErrMessageTooLarge
 	}
@@ -445,19 +468,39 @@ func ListenAndServe(addr string, h Handler) (net.Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
+	go serveListener(ln, h)
+	return ln, nil
+}
+
+// Accept retry backoff: the first retry waits acceptBackoffMin, each
+// further consecutive failure doubles it up to acceptBackoffMax.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
+// serveListener accepts connections until ln is closed. Any other Accept
+// error (EMFILE when out of descriptors, ECONNABORTED from a peer that
+// gave up) is transient: the loop backs off and retries rather than
+// silently stop serving on a listener that stays open.
+func serveListener(ln net.Listener, h Handler) {
+	var delay time.Duration
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			go func() {
-				defer c.Close()
-				_ = Serve(NewConn(c), h)
-			}()
+			delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
+			time.Sleep(delay)
+			continue
 		}
-	}()
-	return ln, nil
+		delay = 0
+		go func() {
+			defer c.Close()
+			_ = Serve(NewConn(c), h)
+		}()
+	}
 }
 
 // dialer bounds the TCP connect in Dial, so an unreachable attester or

@@ -172,8 +172,10 @@ func TestPropertyTraceCodecRoundTrip(t *testing.T) {
 // FuzzDecode throws raw bytes at the decoder: whatever decodes must
 // re-encode to bytes that decode to the same message (codec is a
 // retraction), and nothing may panic.
-func FuzzDecode(f *testing.F) {
-	f.Add(Encode(sampleMsg()))
+// fuzzDecodeSeeds is FuzzDecode's seed corpus: a plain and a traced
+// message with an unknown trailer field, in the reference encoding, and
+// a truncated frame.
+func fuzzDecodeSeeds() [][]byte {
 	traced := sampleMsg()
 	traced.Trace = &TraceContext{
 		TraceID: "00112233445566778899aabbccddeeff",
@@ -181,14 +183,23 @@ func FuzzDecode(f *testing.F) {
 		Sampled: true,
 	}
 	traced.Ext = []ExtField{{Tag: 9, Value: []byte("x")}}
-	f.Add(Encode(traced))
-	f.Add([]byte{1, 0})
+	return [][]byte{refEncode(sampleMsg()), refEncode(traced), {1, 0}}
+}
+
+func FuzzDecode(f *testing.F) {
+	for _, seed := range fuzzDecodeSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
 			return
 		}
-		again, err := Decode(Encode(m))
+		enc := Encode(m)
+		if want := refEncode(m); !bytes.Equal(enc, want) || len(enc) != cap(enc) {
+			t.Fatalf("Encode wrote %x (cap %d), reference %x", enc, cap(enc), want)
+		}
+		again, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
